@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import drs, lemmas
@@ -44,8 +44,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _decimal_str(q: Fraction, digits: int = 12) -> str:
-    getcontext().prec = digits
-    return str(Decimal(q.numerator) / Decimal(q.denominator))
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

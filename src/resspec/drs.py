@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 from .graphs import (
     Graph,
@@ -23,6 +22,7 @@ from .graphs import (
     to_graph6,
 )
 from .enumeration import canonical_form, canonical_graph, connected_graphs
+from .parallel import ordered_map
 from .resistance import ResistanceSpectrum, resistance_spectrum
 
 # classification tags for complete bipartite targets, by part-size shape
@@ -101,18 +101,12 @@ def spectra_cache_path(cache_dir: str, n: int) -> str:
     return os.path.join(cache_dir, f"spectra-{n}.tsv")
 
 
-def _spectrum_worker(g6_list: list[str]) -> list[str]:
-    return [resistance_spectrum(parse_graph6(g6)).to_json() for g6 in g6_list]
+def _spectrum_key(g6: str) -> str:
+    return resistance_spectrum(parse_graph6(g6)).to_json()
 
 
 def _compute_spectra(g6s: list[str], threads: int) -> list[str]:
-    if threads > 1 and len(g6s) >= 256:
-        step = max(64, len(g6s) // (threads * 8))
-        chunks = [g6s[i : i + step] for i in range(0, len(g6s), step)]
-        with Pool(threads) as pool:
-            parts = pool.map(_spectrum_worker, chunks)
-        return [s for part in parts for s in part]
-    return _spectrum_worker(g6s)
+    return ordered_map(_spectrum_key, g6s, threads)
 
 
 def _load_spectra_cache(cache_dir: str, n: int) -> list[tuple[str, str]] | None:

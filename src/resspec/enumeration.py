@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from multiprocessing import Pool
+from functools import partial
 
-from .graphs import Graph, GraphError, parse_graph6, sha256_hex, to_graph6
+from .graphs import Graph, GraphError, find, parse_graph6, sha256_hex, to_graph6
+from .parallel import ordered_map
 
 MAX_CANONICAL_ORDER = 16
 ENUMERATION_GUARD = 9
@@ -41,18 +42,6 @@ class CanonicalCode:
 
     def graph(self) -> Graph:
         return Graph(self.order, self.bits)
-
-
-def _masks_from_bits(n: int, bits: int) -> list[int]:
-    masks = [0] * n
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (bits >> idx) & 1:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-            idx += 1
-    return masks
 
 
 def _degree_colors(n: int, masks: list[int]) -> list[int]:
@@ -87,13 +76,6 @@ def _bits_from_chunks(chunks: list[int]) -> int:
             bits |= ((c >> (k - 1 - i)) & 1) << (idx + i)
         idx += k
     return bits
-
-
-def _uf_find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
 
 
 class _CodeSearch:
@@ -161,12 +143,12 @@ class _CodeSearch:
                     for a in self.autos:
                         if all(a[p] == p for p in placed):
                             for x in range(n):
-                                ra, rx = _uf_find(uf, a[x]), _uf_find(uf, x)
+                                ra, rx = find(uf, a[x]), find(uf, x)
                                 if ra != rx:
                                     uf[ra] = rx
                     uf_autos = len(self.autos)
-                ru = _uf_find(uf, u)
-                if any(_uf_find(uf, t) == ru for t in tried):
+                ru = find(uf, u)
+                if any(find(uf, t) == ru for t in tried):
                     continue
             if c < self.best[level]:
                 self.best[level] = c
@@ -284,60 +266,55 @@ def _is_cut_masks(n: int, masks: list[int], w: int) -> bool:
     return reached != full
 
 
-def _expand_parents(n: int, parents_bits: list[int]) -> list[int]:
-    """Accepted children (canonical bits) of the given (n-1)-vertex parents."""
+def _expand_parent(n: int, pbits: int) -> list[int]:
+    """Accepted children (canonical bits) of one (n-1)-vertex parent."""
     v = n - 1
     out: list[int] = []
-    for pbits in parents_bits:
-        pmasks = _masks_from_bits(n - 1, pbits)
-        seen: set[int] = set()
-        for subset in range(1, 1 << (n - 1)):
-            masks = [
-                pmasks[u] | (((subset >> u) & 1) << v) for u in range(n - 1)
-            ]
-            masks.append(subset)
-            dv = subset.bit_count()
-            # the added vertex is never a cut vertex (child - v = parent).
-            # it can only be the designated vertex if no non-cut vertex has
-            # strictly smaller degree ...
-            rejected = False
-            same_deg = []
-            for w in range(n - 1):
-                dw = masks[w].bit_count()
-                if dw > dv:
-                    continue
-                if dw == dv:
-                    same_deg.append(w)
-                elif not _is_cut_masks(n, masks, w):
-                    rejected = True
-                    break
-            if rejected:
+    pmasks = Graph(n - 1, pbits).adjacency_masks
+    seen: set[int] = set()
+    for subset in range(1, 1 << (n - 1)):
+        masks = [
+            pmasks[u] | (((subset >> u) & 1) << v) for u in range(n - 1)
+        ]
+        masks.append(subset)
+        dv = subset.bit_count()
+        # the added vertex is never a cut vertex (child - v = parent).
+        # it can only be the designated vertex if no non-cut vertex has
+        # strictly smaller degree ...
+        rejected = False
+        same_deg = []
+        for w in range(n - 1):
+            dw = masks[w].bit_count()
+            if dw > dv:
                 continue
-            # ... and among equal-degree non-cut vertices it must carry the
-            # minimal refined color and survive the marked-code comparison
-            rivals = [w for w in same_deg if not _is_cut_masks(n, masks, w)]
+            if dw == dv:
+                same_deg.append(w)
+            elif not _is_cut_masks(n, masks, w):
+                rejected = True
+                break
+        if rejected:
+            continue
+        # ... and among equal-degree non-cut vertices it must carry the
+        # minimal refined color and survive the marked-code comparison
+        rivals = [w for w in same_deg if not _is_cut_masks(n, masks, w)]
+        if rivals:
+            base_colors = _refine_colors(n, masks, _degree_colors(n, masks))
+            cv = base_colors[v]
+            if any(base_colors[w] < cv for w in rivals):
+                continue
+            rivals = [w for w in rivals if base_colors[w] == cv]
             if rivals:
-                base_colors = _refine_colors(n, masks, _degree_colors(n, masks))
-                cv = base_colors[v]
-                if any(base_colors[w] < cv for w in rivals):
+                bound = _marked_chunks(n, masks, base_colors, v)
+                if any(
+                    _marked_beats_bound(n, masks, base_colors, w, bound)
+                    for w in rivals
+                ):
                     continue
-                rivals = [w for w in rivals if base_colors[w] == cv]
-                if rivals:
-                    bound = _marked_chunks(n, masks, base_colors, v)
-                    if any(
-                        _marked_beats_bound(n, masks, base_colors, w, bound)
-                        for w in rivals
-                    ):
-                        continue
-            cbits, _ = _canonical_raw(n, masks)
-            if cbits not in seen:
-                seen.add(cbits)
-                out.append(cbits)
+        cbits, _ = _canonical_raw(n, masks)
+        if cbits not in seen:
+            seen.add(cbits)
+            out.append(cbits)
     return out
-
-
-def _expand_worker(args: tuple[int, list[int]]) -> list[int]:
-    return _expand_parents(*args)
 
 
 _LEVEL_CACHE: dict[int, list[int]] = {1: [0]}
@@ -347,15 +324,8 @@ def _connected_level_bits(n: int, threads: int) -> list[int]:
     if n in _LEVEL_CACHE:
         return _LEVEL_CACHE[n]
     parents = _connected_level_bits(n - 1, threads)
-    if threads > 1 and len(parents) >= 64:
-        step = max(16, len(parents) // (threads * 8))
-        chunks = [parents[i : i + step] for i in range(0, len(parents), step)]
-        with Pool(threads) as pool:
-            results = pool.map(_expand_worker, [(n, c) for c in chunks])
-        children = [b for part in results for b in part]
-    else:
-        children = _expand_parents(n, parents)
-    children.sort()
+    per_parent = ordered_map(partial(_expand_parent, n), parents, threads)
+    children = sorted(b for part in per_parent for b in part)
     _LEVEL_CACHE[n] = children
     return children
 

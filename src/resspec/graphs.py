@@ -183,6 +183,14 @@ def _masks_connected(n: int, masks) -> bool:
     return reached == full
 
 
+def find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def degree(g: Graph, v: int) -> int:
     return g.degree(v)
 
@@ -194,7 +202,7 @@ def neighbors(g: Graph, v: int) -> frozenset[int]:
 def blocks_and_cut_vertices(g: Graph) -> tuple[list[frozenset[int]], frozenset[int]]:
     """Block decomposition of a connected graph.
 
-    Returns (blocks, cut_vertices) where each block is the vertex set of a
+    Returns (blocks, cuts) where each block is the vertex set of a
     maximal subgraph without a cut vertex; every edge belongs to exactly one
     block, and a vertex is a cut vertex iff it lies in at least two blocks.
     An isolated vertex (order 1) forms the single block {0}.
@@ -260,10 +268,6 @@ def blocks_and_cut_vertices(g: Graph) -> tuple[list[frozenset[int]], frozenset[i
     return blocks, frozenset(cuts)
 
 
-def cut_vertices(g: Graph) -> frozenset[int]:
-    return blocks_and_cut_vertices(g)[1]
-
-
 def bridges(g: Graph) -> list[tuple[int, int]]:
     """Edges whose removal disconnects the graph (= two-vertex blocks)."""
     blocks, _ = blocks_and_cut_vertices(g)
@@ -311,12 +315,6 @@ def delete_vertices(g: Graph, vs) -> tuple[Graph, dict[int, int]]:
         if u in relabel and v in relabel
     ]
     return new_graph(len(survivors), edges), relabel
-
-
-def induced_subgraph(g: Graph, vs) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced on the given vertex set, relabeled densely."""
-    keep = set(vs)
-    return delete_vertices(g, [v for v in range(g.order) if v not in keep])
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +379,6 @@ def parse_graph6(text: str) -> Graph:
             elif bit:
                 raise Graph6Error("nonzero padding bits", 1 + pos)
     return Graph(n, bits)
-
-
-def graph6_lines(graphs) -> str:
-    """One graph per line, newline terminated."""
-    return "".join(to_graph6(g) + "\n" for g in graphs)
 
 
 def sha256_hex(payload: bytes) -> str:

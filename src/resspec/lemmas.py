@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from multiprocessing import Pool
 
 from .graphs import (
     Graph,
@@ -20,10 +19,10 @@ from .graphs import (
     blocks_and_cut_vertices,
     delete_edge,
     is_connected,
-    parse_graph6,
     to_graph6,
 )
 from .enumeration import enumerate_connected
+from .parallel import ordered_map
 from .resistance import ResistanceMatrix, format_rational, resistance_matrix
 
 LEMMA_IDS = (
@@ -274,18 +273,12 @@ def _check_graph_all(g: Graph) -> list[CheckReport]:
     return failures
 
 
-def _sweep_worker(g6_list: list[str]) -> tuple[dict[str, int], list[dict]]:
-    """Per-lemma failing-graph counts plus lemma-tagged witnesses."""
-    fail_counts = {lemma: 0 for lemma in LEMMA_IDS}
-    witnesses = []
-    for g6 in g6_list:
-        failed_here = set()
-        for report in _check_graph_all(parse_graph6(g6)):
-            failed_here.add(report.lemma_id)
-            witnesses.append({"lemma": report.lemma_id, **report.witness.to_json_dict()})
-        for lemma in failed_here:
-            fail_counts[lemma] += 1
-    return fail_counts, witnesses
+def _sweep_graph(g: Graph) -> list[dict]:
+    """Lemma-tagged witnesses of every lemma violation on one graph."""
+    return [
+        {"lemma": report.lemma_id, **report.witness.to_json_dict()}
+        for report in _check_graph_all(g)
+    ]
 
 
 def run_all_checks(n_max: int, *, threads: int = 1) -> dict:
@@ -299,20 +292,13 @@ def run_all_checks(n_max: int, *, threads: int = 1) -> dict:
     fail_counts = {lemma: 0 for lemma in LEMMA_IDS}
     per_order: dict[str, int] = {}
     for n in range(1, n_max + 1):
-        g6s = [to_graph6(g) for g in enumerate_connected(n, threads=threads)]
-        per_order[str(n)] = len(g6s)
-        graphs_checked += len(g6s)
-        if threads > 1 and len(g6s) >= 64:
-            step = max(16, len(g6s) // (threads * 4))
-            chunks = [g6s[i : i + step] for i in range(0, len(g6s), step)]
-            with Pool(threads) as pool:
-                parts = pool.map(_sweep_worker, chunks)
-        else:
-            parts = [_sweep_worker(g6s)]
-        for counts, witnesses in parts:
+        graphs = list(enumerate_connected(n, threads=threads))
+        per_order[str(n)] = len(graphs)
+        graphs_checked += len(graphs)
+        for witnesses in ordered_map(_sweep_graph, graphs, threads):
             failures.extend(witnesses)
-            for lemma, c in counts.items():
-                fail_counts[lemma] += c
+            for lemma in {w["lemma"] for w in witnesses}:
+                fail_counts[lemma] += 1
     return {
         "max_order": n_max,
         "graphs_checked": graphs_checked,

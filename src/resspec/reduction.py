@@ -11,9 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from .graphs import Graph, GraphError, blocks_and_cut_vertices, delete_vertices
-from .resistance import DisconnectedError, format_rational, parse_rational
+from .graphs import Graph, _masks_connected, blocks_and_cut_vertices, delete_vertices
+from .resistance import (
+    DisconnectedError,
+    format_rational,
+    parse_rational,
+    reduced_adjugate,
+    resistance_numerator,
+    resistance_rows,
+)
 
 
 class ReductionError(ValueError):
@@ -71,57 +79,31 @@ def unit_network(g: Graph) -> WeightedNetwork:
 
 
 def is_network_connected(net: WeightedNetwork) -> bool:
-    reached = {0}
-    frontier = [0]
-    adj: dict[int, set[int]] = {v: set() for v in range(net.order)}
+    masks = [0] * net.order
     for u, v, _ in net.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    while frontier:
-        w = frontier.pop()
-        for x in adj[w]:
-            if x not in reached:
-                reached.add(x)
-                frontier.append(x)
-    return len(reached) == net.order
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return _masks_connected(net.order, masks)
 
 
-def weighted_laplacian(net: WeightedNetwork) -> list[list[Fraction]]:
-    """Laplacian with conductances 1/r; parallel edges add their conductances."""
+def _integer_laplacian(net: WeightedNetwork) -> tuple[list[list[int]], int]:
+    """Laplacian of the conductances 1/r scaled to integers, and the scale.
+
+    The scale s is the LCM of the conductance denominators; resistances of
+    the scaled network are those of net divided by s. Parallel edges add
+    their conductances.
+    """
+    conductances = [1 / r for _, _, r in net.edges]
+    s = lcm(*(c.denominator for c in conductances))
     n = net.order
-    L = [[Fraction(0)] * n for _ in range(n)]
-    for u, v, r in net.edges:
-        c = 1 / r
-        L[u][u] += c
-        L[v][v] += c
-        L[u][v] -= c
-        L[v][u] -= c
-    return L
-
-
-def _solve_fraction_system(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination with partial pivoting over exact rationals."""
-    n = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if pivot_row is None:
-            raise DisconnectedError("infinite resistance: network is disconnected")
-        m[k], m[pivot_row] = m[pivot_row], m[k]
-        inv = 1 / m[k][k]
-        for r in range(k + 1, n):
-            f = m[r][k]
-            if f:
-                f *= inv
-                for c in range(k, n + 1):
-                    m[r][c] -= f * m[k][c]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = m[i][n]
-        for j in range(i + 1, n):
-            s -= m[i][j] * x[j]
-        x[i] = s / m[i][i]
-    return x
+    L = [[0] * n for _ in range(n)]
+    for (u, v, _), c in zip(net.edges, conductances):
+        w = c.numerator * (s // c.denominator)
+        L[u][u] += w
+        L[v][v] += w
+        L[u][v] -= w
+        L[v][u] -= w
+    return L, s
 
 
 def weighted_resistance(net: WeightedNetwork, u: int, v: int) -> Fraction:
@@ -132,54 +114,17 @@ def weighted_resistance(net: WeightedNetwork, u: int, v: int) -> Fraction:
         raise ReductionError("resistance requires two distinct vertices")
     if not is_network_connected(net):
         raise DisconnectedError("infinite resistance: network is disconnected")
-    # ground v: solve the reduced system for a unit current injected at u
-    L = weighted_laplacian(net)
-    keep = [w for w in range(net.order) if w != v]
-    a = [[L[i][j] for j in keep] for i in keep]
-    b = [Fraction(1) if w == u else Fraction(0) for w in keep]
-    x = _solve_fraction_system(a, b)
-    return x[keep.index(u)]
+    L, s = _integer_laplacian(net)
+    adj, det = reduced_adjugate(L)
+    return Fraction(s * resistance_numerator(adj, u, v), det)
 
 
 def weighted_resistance_matrix(net: WeightedNetwork) -> list[list[Fraction]]:
-    """All-pairs resistances via one exact inverse of the reduced Laplacian."""
+    """All-pairs resistances from one exact adjugate of the scaled Laplacian."""
     if not is_network_connected(net):
         raise DisconnectedError("infinite resistance: network is disconnected")
-    n = net.order
-    out = [[Fraction(0)] * n for _ in range(n)]
-    if n == 1:
-        return out
-    L = weighted_laplacian(net)
-    size = n - 1
-    # Gauss-Jordan on [L0 | I]; L0 is positive definite, no pivoting needed
-    m = [
-        [L[i][j] for j in range(size)]
-        + [Fraction(1) if j == i else Fraction(0) for j in range(size)]
-        for i in range(size)
-    ]
-    for k in range(size):
-        inv = 1 / m[k][k]
-        row_k = m[k]
-        for c in range(k, 2 * size):
-            row_k[c] *= inv
-        for r in range(size):
-            if r == k:
-                continue
-            f = m[r][k]
-            if f:
-                row_r = m[r]
-                for c in range(k, 2 * size):
-                    row_r[c] -= f * row_k[c]
-    g = [row[size:] for row in m]
-    for u in range(size):
-        for v in range(u + 1, n):
-            if v == n - 1:
-                r = g[u][u]
-            else:
-                r = g[u][u] + g[v][v] - 2 * g[u][v]
-            out[u][v] = r
-            out[v][u] = r
-    return out
+    L, s = _integer_laplacian(net)
+    return resistance_rows(L, s)
 
 
 def series_reduce(net: WeightedNetwork, v: int) -> WeightedNetwork:

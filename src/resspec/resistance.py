@@ -1,9 +1,10 @@
 """Exact effective resistances, resistance matrices, and resistance spectra.
 
-All values are exact rationals (fractions.Fraction). Determinants of the
-reduced Laplacian are taken with fraction-free Bareiss elimination over
-Python integers; the all-pairs matrix shares a single adjugate computation
-so the spanning-tree count is factored out once per graph.
+All values are exact rationals (fractions.Fraction). The one exact engine is
+reduced_adjugate: fraction-free Bareiss elimination over Python integers of
+the Laplacian minor without the last vertex. Every resistance, single pair
+or all pairs, unit or weighted, and the spanning-tree count are read from
+its adjugate and determinant.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .graphs import Graph, GraphError, is_connected
+from .graphs import Graph, GraphError, find, is_connected
 
 
 class DisconnectedError(GraphError):
@@ -57,60 +58,18 @@ def laplacian(g: Graph) -> list[list[int]]:
     return L
 
 
-def bareiss_determinant(matrix: list[list[int]]) -> int:
-    """Determinant by fraction-free elimination; all divisions are exact."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    a = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            # partial pivoting keeps the exact-division property
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            ak = a[k]
-            aik = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (pivot * ai[j] - aik * ak[j]) // prev
-            ai[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+def reduced_adjugate(L: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Adjugate and determinant of an integer Laplacian without its last row/column.
 
-
-def _minor(matrix: list[list[int]], drop: set[int]) -> list[list[int]]:
-    keep = [i for i in range(len(matrix)) if i not in drop]
-    return [[matrix[i][j] for j in keep] for i in keep]
-
-
-def spanning_tree_count(g: Graph) -> int:
-    """Matrix-tree determinant; 0 exactly when the graph is disconnected."""
-    if g.order == 1:
-        return 1
-    return bareiss_determinant(_minor(laplacian(g), {0}))
-
-
-def _reduced_adjugate(g: Graph) -> tuple[list[list[int]], int]:
-    """Adjugate and determinant of the Laplacian minor without the last vertex.
-
-    The minor of a connected graph is positive definite, so Bareiss forward
+    For a connected network the minor is positive definite, so Bareiss forward
     elimination needs no pivoting; the adjugate is recovered column by column
     with integer back-substitution (every division below is exact because the
-    adjugate is an integer matrix).
+    adjugate is an integer matrix). The determinant is the (weighted)
+    spanning-tree count, and R(u, v) = resistance_numerator(adj, u, v) / det.
     """
-    n = g.order - 1
+    n = len(L) - 1
     if n == 0:
         return [], 1
-    L = laplacian(g)
     # augmented [L0 | I], full rows so Bareiss ops stay exact on both halves
     a = [L[i][:n] + [1 if j == i else 0 for j in range(n)] for i in range(n)]
     prev = 1
@@ -142,22 +101,43 @@ def _reduced_adjugate(g: Graph) -> tuple[list[list[int]], int]:
     return adj, det
 
 
-def resistance(g: Graph, u: int, v: int) -> Fraction:
-    """Effective resistance between two distinct vertices.
+def resistance_numerator(adj: list[list[int]], u: int, v: int) -> int:
+    """det * R(u, v) from a reduced adjugate; the deleted last vertex is ground."""
+    last = len(adj)
+    if u == last:
+        return adj[v][v]
+    if v == last:
+        return adj[u][u]
+    return adj[u][u] + adj[v][v] - 2 * adj[u][v]
 
-    Computed as the ratio of two Laplacian minors: rows/columns {u, v}
-    deleted over row/column u deleted.
-    """
+
+def resistance_rows(L: list[list[int]], scale: int = 1) -> list[list[Fraction]]:
+    """All-pairs resistances of the integer Laplacian L, each multiplied by scale."""
+    adj, det = reduced_adjugate(L)
+    n = len(L)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for u, v in combinations(range(n), 2):
+        rows[u][v] = rows[v][u] = Fraction(scale * resistance_numerator(adj, u, v), det)
+    return rows
+
+
+def spanning_tree_count(g: Graph) -> int:
+    """Matrix-tree determinant; 0 exactly when the graph is disconnected."""
+    if not is_connected(g):
+        return 0
+    return reduced_adjugate(laplacian(g))[1]
+
+
+def resistance(g: Graph, u: int, v: int) -> Fraction:
+    """Effective resistance between two distinct vertices."""
     g._check_vertex(u)
     g._check_vertex(v)
     if u == v:
         raise GraphError("resistance requires two distinct vertices")
     if not is_connected(g):
         raise DisconnectedError("infinite resistance: graph is disconnected")
-    L = laplacian(g)
-    num = bareiss_determinant(_minor(L, {u, v}))
-    den = bareiss_determinant(_minor(L, {u}))
-    return Fraction(num, den)
+    adj, det = reduced_adjugate(laplacian(g))
+    return Fraction(resistance_numerator(adj, u, v), det)
 
 
 @dataclass(frozen=True)
@@ -179,20 +159,8 @@ def resistance_matrix(g: Graph) -> ResistanceMatrix:
     """All-pairs resistances sharing one adjugate/determinant computation."""
     if not is_connected(g):
         raise DisconnectedError("infinite resistance: graph is disconnected")
-    n = g.order
-    adj, det = _reduced_adjugate(g)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for u in range(n - 1):
-        duu = adj[u][u]
-        for v in range(u + 1, n):
-            if v == n - 1:
-                num = duu
-            else:
-                num = duu + adj[v][v] - 2 * adj[u][v]
-            r = Fraction(num, det)
-            rows[u][v] = r
-            rows[v][u] = r
-    return ResistanceMatrix(n, tuple(tuple(row) for row in rows))
+    rows = resistance_rows(laplacian(g))
+    return ResistanceMatrix(g.order, tuple(tuple(row) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -272,15 +240,10 @@ def kmn_spectrum_closed_form(m: int, n: int) -> ResistanceSpectrum:
 # brute-force oracles (independent of the elimination path above)
 
 def _union(parent: list[int], a: int, b: int) -> bool:
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    while parent[b] != b:
-        parent[b] = parent[parent[b]]
-        b = parent[b]
-    if a == b:
+    ra, rb = find(parent, a), find(parent, b)
+    if ra == rb:
         return False
-    parent[a] = b
+    parent[ra] = rb
     return True
 
 
@@ -316,12 +279,6 @@ def resistance_by_forest_enumeration(g: Graph, u: int, v: int) -> Fraction:
             if not all(_union(parent, a, b) for a, b in subset):
                 continue
             # exactly two trees; count it when they separate u from v
-            ru = u
-            while parent[ru] != ru:
-                ru = parent[ru]
-            rv = v
-            while parent[rv] != rv:
-                rv = parent[rv]
-            if ru != rv:
+            if find(parent, u) != find(parent, v):
                 separating += 1
     return Fraction(separating, trees)

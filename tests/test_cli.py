@@ -1,5 +1,6 @@
 import io
 import json
+from decimal import getcontext, localcontext
 import subprocess
 import sys
 
@@ -62,6 +63,13 @@ class TestSpectrumCommand:
     def test_malformed_graph6(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "A_x")
         assert code == 1 and "byte offset" in err
+
+    def test_decimal_leaves_caller_context_alone(self, capsys):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            code, out, _ = run_cli(capsys, "spectrum", K23, "--decimal")
+            assert code == 0 and "~0.666666666667x7" in out
+            assert getcontext().prec == 50
 
 
 class TestVerifyDrsCommand:

@@ -15,6 +15,7 @@ from resspec.reduction import (
     ReductionError,
     SEquivalenceError,
     eliminate_block,
+    is_network_connected,
     network_to_text,
     new_network,
     parallel_reduce,
@@ -72,6 +73,47 @@ class TestWeightedResistance:
             new_network(2, [(1, 1, 1)])
         with pytest.raises(ReductionError, match="outside"):
             new_network(2, [(0, 2, 1)])
+
+
+def _random_connected_multinetwork(rng, n):
+    """Connected network with parallel edges and non-unit rational resistances."""
+    while True:
+        edges = [
+            (u, v, F(rng.randint(1, 12), rng.randint(1, 12)))
+            for u, v in itertools.combinations(range(n), 2)
+            if rng.random() < 0.5
+        ]
+        for _ in range(rng.randint(1, 3)):
+            if edges:
+                u, v, _ = rng.choice(edges)
+                edges.append((u, v, F(rng.randint(1, 12), rng.randint(2, 12))))
+        net = new_network(n, edges)
+        if is_network_connected(net):
+            return net
+
+
+class TestWeightedEngineIdentities:
+    """Identities that hold for any correct solver, checked without its formula."""
+
+    def test_weighted_foster(self):
+        # sum over edges of R(e)/r_e is n - 1, each parallel edge counted
+        rng = random.Random(41)
+        for _ in range(60):
+            net = _random_connected_multinetwork(rng, rng.randint(2, 8))
+            wm = weighted_resistance_matrix(net)
+            assert sum(wm[u][v] / r for u, v, r in net.edges) == net.order - 1
+
+    def test_scaling_every_resistance_scales_every_resistance(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            net = _random_connected_multinetwork(rng, rng.randint(2, 8))
+            wm = weighted_resistance_matrix(net)
+            k = rng.choice((F(7), F(3, 2), F(5, 11)))
+            scaled = new_network(net.order, [(u, v, k * r) for u, v, r in net.edges])
+            sm = weighted_resistance_matrix(scaled)
+            for u, v in itertools.combinations(range(net.order), 2):
+                assert sm[u][v] == k * wm[u][v]
+                assert weighted_resistance(scaled, u, v) == k * weighted_resistance(net, u, v)
 
 
 class TestSeriesReduce:
