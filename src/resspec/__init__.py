@@ -40,6 +40,7 @@ from .resistance import (
     resistance_matrix,
     resistance_spectrum,
     spanning_tree_count,
+    spectrum_json,
 )
 from .reduction import (
     ReductionError,

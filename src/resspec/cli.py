@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import drs, lemmas
 from .enumeration import connected_graphs, enumerate_connected
-from .graphs import complete_bipartite, parse_graph6, to_graph6
+from .graphs import complete_bipartite, is_connected, parse_graph6, to_graph6
 from .reduction import (
     network_to_text,
     parallel_reduce,
@@ -202,14 +202,17 @@ def _cmd_verify_drs(args) -> int:
         )]
     else:
         targets = list(_input_graphs(args.graph))
+        indexes: dict[int, drs.SpectrumIndex] = {}  # one per order, shared by targets
         for g6 in targets:
             g = parse_graph6(g6)
             if g.order > args.max_n:
                 raise CliError(f"graph has {g.order} vertices; --max-n is {args.max_n}")
-            verdicts.append(drs.verify_drs(
-                g, cache_dir=args.cache_dir, threads=args.threads,
-                allow_ten=allow_ten,
-            ))
+            if g.order not in indexes and is_connected(g):
+                indexes[g.order] = drs.index_spectra(
+                    g.order, cache_dir=args.cache_dir, threads=args.threads,
+                    allow_ten=allow_ten,
+                )
+            verdicts.append(drs.verify_drs(g, index=indexes.get(g.order)))
     for verdict in verdicts:
         _print_verdict(verdict, args.output)
     violation = any(

@@ -21,9 +21,15 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .enumeration import canonical_form, canonical_graph, connected_graphs
+from .enumeration import (
+    canonical_form,
+    canonical_graph,
+    check_class_count,
+    connected_graphs,
+    write_atomic,
+)
 from .parallel import ordered_map
-from .resistance import ResistanceSpectrum, resistance_spectrum
+from .resistance import ResistanceSpectrum, resistance_spectrum, spectrum_json
 
 # classification tags for complete bipartite targets, by part-size shape
 TAG_BALANCED = "Thm3.1"        # m == n
@@ -102,7 +108,7 @@ def spectra_cache_path(cache_dir: str, n: int) -> str:
 
 
 def _spectrum_key(g6: str) -> str:
-    return resistance_spectrum(parse_graph6(g6)).to_json()
+    return spectrum_json(parse_graph6(g6))
 
 
 def _compute_spectra(g6s: list[str], threads: int) -> list[str]:
@@ -123,15 +129,15 @@ def _load_spectra_cache(cache_dir: str, n: int) -> list[tuple[str, str]] | None:
             if len(parts) != 2:
                 raise GraphError(f"{path}:{lineno}: expected 'graph6<TAB>spectrum-json'")
             rows.append((parts[0], parts[1]))
+    check_class_count(path, n, len(rows))
     return rows
 
 
 def _save_spectra_cache(cache_dir: str, n: int, rows: list[tuple[str, str]]) -> None:
     os.makedirs(cache_dir, exist_ok=True)
-    path = spectra_cache_path(cache_dir, n)
-    with open(path, "w", encoding="ascii") as fh:
-        for g6, spec in rows:
-            fh.write(f"{g6}\t{spec}\n")
+    write_atomic(
+        spectra_cache_path(cache_dir, n), (f"{g6}\t{spec}\n" for g6, spec in rows)
+    )
 
 
 def index_spectra(
@@ -212,12 +218,14 @@ def verify_drs(
         )
     elif index.order != g.order:
         raise GraphError(f"index is for order {index.order}, graph has {g.order}")
-    spectrum = resistance_spectrum(g)
-    group = index.group_for(spectrum)
+    key = spectrum_json(g)
+    group = index.groups.get(key, ())
     me = to_graph6(canonical_graph(g))
     if me not in group:
         raise GraphError("spectrum index is inconsistent: target missing from its group")
     impostors = tuple(x for x in group if x != me)
+    for x in impostors:
+        _reverify_pair(me, x, key)
     parts = complete_bipartite_parts(g)
     tag = classify_kmn(*parts) if parts else TAG_NOT_KMN
     return DrsVerdict(
@@ -226,7 +234,7 @@ def verify_drs(
         determined=not impostors,
         theorem_tag=tag,
         impostors=impostors,
-        spectrum_json=spectrum.to_json(),
+        spectrum_json=key,
     )
 
 
@@ -295,11 +303,12 @@ def find_collisions(
 
 
 def _reverify_pair(a6: str, b6: str, spec: str) -> None:
-    """Independent re-check of a reported collision; raises on any mismatch."""
+    """Independent re-check of a collision or an impostor; raises on any mismatch."""
     ga, gb = parse_graph6(a6), parse_graph6(b6)
     if canonical_form(ga) == canonical_form(gb):
-        raise GraphError(f"collision pair {a6} / {b6} is isomorphic; index is broken")
+        raise GraphError(f"pair {a6} / {b6} is isomorphic; index is broken")
+    # through the Fraction path, not the integer key that built the index
     sa = resistance_spectrum(ga).to_json()
     sb = resistance_spectrum(gb).to_json()
     if not (sa == sb == spec):
-        raise GraphError(f"collision pair {a6} / {b6} fails spectrum re-verification")
+        raise GraphError(f"pair {a6} / {b6} fails spectrum re-verification")

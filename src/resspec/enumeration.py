@@ -30,6 +30,12 @@ MAX_CANONICAL_ORDER = 16
 ENUMERATION_GUARD = 9
 ENUMERATION_HARD_LIMIT = 10
 
+# OEIS A001349: connected graphs on n unlabelled vertices, n = 1..10
+CONNECTED_CLASS_COUNTS = {
+    1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117, 9: 261080,
+    10: 11716571,
+}
+
 _INF = 1 << 40
 
 
@@ -358,13 +364,30 @@ def connected_cache_path(cache_dir: str, n: int) -> str:
     return os.path.join(cache_dir, f"connected-{n}.g6")
 
 
+def write_atomic(path: str, chunks) -> None:
+    """Replace path with the text chunks; readers see the old file or the whole new one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def check_class_count(path: str, n: int, count: int) -> None:
+    """Reject a cache whose row count is not the number of classes on n vertices."""
+    want = CONNECTED_CLASS_COUNTS.get(n)
+    if want is not None and count != want:
+        raise GraphError(f"{path}: {count} classes, expected {want} for n={n}")
+
+
 def save_connected_cache(cache_dir: str, n: int, graphs: list[Graph]) -> str:
     os.makedirs(cache_dir, exist_ok=True)
     payload = "".join(to_graph6(g) + "\n" for g in graphs)
     path = connected_cache_path(cache_dir, n)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(payload)
-        fh.write(f"#sha256:{sha256_hex(payload.encode('ascii'))}\n")
+    write_atomic(path, (payload, f"#sha256:{sha256_hex(payload.encode('ascii'))}\n"))
     return path
 
 
@@ -386,6 +409,7 @@ def load_connected_cache(cache_dir: str, n: int) -> list[Graph] | None:
     for g in graphs:
         if g.order != n:
             raise GraphError(f"{path}: contains a graph of order {g.order}, expected {n}")
+    check_class_count(path, n, len(graphs))
     return graphs
 
 

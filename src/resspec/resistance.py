@@ -4,7 +4,8 @@ All values are exact rationals (fractions.Fraction). The one exact engine is
 reduced_adjugate: fraction-free Bareiss elimination over Python integers of
 the Laplacian minor without the last vertex. Every resistance, single pair
 or all pairs, unit or weighted, and the spanning-tree count are read from
-its adjugate and determinant.
+its adjugate and determinant. The spectrum key (spectrum_json) stays in
+integers until it is text: all pairs share the determinant as denominator.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .graphs import Graph, GraphError, find, is_connected
 
@@ -24,10 +26,18 @@ class DisconnectedError(GraphError):
 # ---------------------------------------------------------------------------
 # rational serialization ("num/den" in lowest terms, "1" when den == 1)
 
+def _ratio_text(num: int, den: int) -> str:
+    """The one text rule for num/den in lowest terms with den > 0."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def format_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _ratio_text(q.numerator, q.denominator)
+
+
+def _runs_json(runs) -> str:
+    """Compact JSON [["num/den", mult], ...] of (num, den, mult) runs."""
+    return "[" + ",".join(f'["{_ratio_text(p, q)}",{m}]' for p, q, m in runs) + "]"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -70,34 +80,43 @@ def reduced_adjugate(L: list[list[int]]) -> tuple[list[list[int]], int]:
     n = len(L) - 1
     if n == 0:
         return [], 1
-    # augmented [L0 | I], full rows so Bareiss ops stay exact on both halves
-    a = [L[i][:n] + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+    # augmented [L0 | I]; Bareiss ops stay exact on both halves
+    a = [L[i][:n] + [0] * n for i in range(n)]
+    for i in range(n):
+        a[i][n + i] = 1
     prev = 1
     for k in range(n - 1):
-        pivot = a[k][k]
+        ak = a[k]
+        pivot = ak[k]
         if pivot == 0:
             raise DisconnectedError("infinite resistance: graph is disconnected")
-        ak = a[k]
+        # the right half of row k is zero past column n+k, and a row i > k
+        # has one more nonzero there, at n+i; columns <= k are never read again
+        hi = n + k + 1
         for i in range(k + 1, n):
             ai = a[i]
             aik = ai[k]
-            for j in range(k + 1, 2 * n):
+            for j in range(k + 1, hi):
                 ai[j] = (pivot * ai[j] - aik * ak[j]) // prev
-            ai[k] = 0
+            ai[n + i] = pivot * ai[n + i] // prev
         prev = pivot
     det = a[n - 1][n - 1]
     if det == 0:
         raise DisconnectedError("infinite resistance: graph is disconnected")
-    # back-substitute U X = det * B, column by column
+    # back-substitute U X = det * B for rows c.. of column c; the adjugate of
+    # a symmetric matrix is symmetric, so rows above c come from earlier columns
     adj = [[0] * n for _ in range(n)]
     for c in range(n):
-        col = adj[c]  # filled transposed; adjugate of symmetric input is symmetric
-        for i in range(n - 1, -1, -1):
-            s = det * a[i][n + c]
+        col = [0] * n
+        for i in range(n - 1, c - 1, -1):
             ai = a[i]
+            s = det * ai[n + c]
             for j in range(i + 1, n):
                 s -= ai[j] * col[j]
             col[i] = s // ai[i]
+        row = adj[c]
+        for i in range(c, n):
+            adj[i][c] = row[i] = col[i]
     return adj, det
 
 
@@ -192,8 +211,7 @@ class ResistanceSpectrum:
         return self.entries[-1][0]
 
     def to_json(self) -> str:
-        payload = [[format_rational(v), m] for v, m in self.entries]
-        return json.dumps(payload, separators=(",", ":"))
+        return _runs_json((v.numerator, v.denominator, m) for v, m in self.entries)
 
     @classmethod
     def from_json(cls, text: str) -> "ResistanceSpectrum":
@@ -207,6 +225,41 @@ class ResistanceSpectrum:
 def resistance_spectrum(g: Graph) -> ResistanceSpectrum:
     rm = resistance_matrix(g)
     return ResistanceSpectrum.from_values(r for _, _, r in rm.pairs())
+
+
+def _spectrum_runs(g: Graph) -> list[tuple[int, int, int]]:
+    """Ascending (num, den, mult) runs of the spectrum, each num/den in lowest terms.
+
+    Every pair shares the denominator det > 0, so sorting the integer
+    numerators det * R(u, v) sorts the resistances, and each distinct
+    value needs one gcd.
+    """
+    if not is_connected(g):
+        raise DisconnectedError("infinite resistance: graph is disconnected")
+    adj, det = reduced_adjugate(laplacian(g))
+    diag = [adj[i][i] for i in range(len(adj))]
+    nums = diag[:]  # pairs with the deleted last vertex
+    for u, du in enumerate(diag):
+        row = adj[u]
+        for v in range(u + 1, len(diag)):
+            nums.append(du + diag[v] - 2 * row[v])
+    nums.sort()
+    runs = []
+    start = 0
+    for i in range(1, len(nums) + 1):
+        if i == len(nums) or nums[i] != nums[start]:
+            d = gcd(nums[start], det)
+            runs.append((nums[start] // d, det // d, i - start))
+            start = i
+    return runs
+
+
+def spectrum_json(g: Graph) -> str:
+    """resistance_spectrum(g).to_json(), computed over integers.
+
+    This is the key that groups classes in the spectrum index.
+    """
+    return _runs_json(_spectrum_runs(g))
 
 
 def resistance_diameter(g: Graph) -> Fraction:

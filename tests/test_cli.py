@@ -100,6 +100,31 @@ class TestVerifyDrsCommand:
         code, out, _ = run_cli(capsys, "verify-drs", "--graph", "Bw", "--output", "human")
         assert code == 0 and "determined" in out
 
+    def test_stdin_targets_share_one_index_per_order(self, capsys, monkeypatch):
+        from resspec import drs
+
+        calls = []
+        real = drs.index_spectra
+
+        def counting(n, **kwargs):
+            calls.append(n)
+            return real(n, **kwargs)
+
+        monkeypatch.setattr(drs, "index_spectra", counting)
+        targets = [K23, to_graph6(path_graph(5)), to_graph6(complete_bipartite(1, 4))]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(t + "\n" for t in targets)))
+        code, out, _ = run_cli(capsys, "verify-drs", "--output", "tsv")
+        assert code == 0 and len(out.splitlines()) == 3
+        assert calls == [5]
+
+    def test_disconnected_stdin_target_builds_no_index(self, capsys, monkeypatch):
+        from resspec import drs
+
+        monkeypatch.setattr(drs, "index_spectra", None)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("B?\n"))
+        code, _, err = run_cli(capsys, "verify-drs")
+        assert code == 1 and "connected graphs" in err
+
     def test_conflicting_selectors(self, capsys):
         code, _, err = run_cli(capsys, "verify-drs", "--kmn", "1", "1", "--all")
         assert code == 1 and "choose one" in err

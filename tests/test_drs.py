@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from resspec import drs
 from resspec.drs import (
     CollisionReport,
     DrsVerdict,
     PROVEN_TAGS,
+    SpectrumIndex,
     TAG_BALANCED,
     TAG_CONJECTURE,
     TAG_DOMINANT,
@@ -28,7 +30,13 @@ from resspec.graphs import (
     new_graph,
     path_graph,
 )
-from resspec.resistance import resistance_spectrum
+from resspec.enumeration import canonical_graph
+from resspec.graphs import parse_graph6, to_graph6
+from resspec.resistance import resistance_spectrum, spectrum_json
+
+
+# a resistance-cospectral pair of non-isomorphic classes on nine vertices
+COSPECTRAL_PAIR_9 = ("HQG?GKZ", "HCS_OKF")
 
 
 class TestClassify:
@@ -110,6 +118,35 @@ class TestIndex:
         with pytest.raises(GraphError, match="graph6<TAB>"):
             index_spectra(3, cache_dir=str(tmp_path))
 
+    @pytest.mark.parametrize("keep", [40, 111])
+    def test_truncated_cache_rejected(self, tmp_path, keep):
+        index_spectra(6, cache_dir=str(tmp_path))
+        path = spectra_cache_path(str(tmp_path), 6)
+        with open(path) as fh:
+            lines = fh.readlines()
+        assert len(lines) == 112
+        with open(path, "w") as fh:
+            fh.writelines(lines[:keep])
+        with pytest.raises(GraphError, match=f"spectra-6.tsv: {keep} classes, expected 112"):
+            index_spectra(6, cache_dir=str(tmp_path))
+
+    def test_cache_written_atomically(self, tmp_path, monkeypatch):
+        idx = index_spectra(4, cache_dir=str(tmp_path))
+        path = spectra_cache_path(str(tmp_path), 4)
+        before = open(path).read()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            drs._save_spectra_cache(str(tmp_path), 4, [("C~", "[]")])
+        # the old file is intact and no temp file is left behind
+        assert open(path).read() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["connected-4.g6", "spectra-4.tsv"]
+        monkeypatch.undo()
+        assert index_spectra(4, cache_dir=str(tmp_path)).groups == idx.groups
+
 
 class TestVerdicts:
     def test_k22_determined(self):
@@ -144,6 +181,22 @@ class TestVerdicts:
     def test_verdict_invariant(self):
         with pytest.raises(ValueError):
             DrsVerdict("A_", 2, True, TAG_BALANCED, ("Bw",), "[]")
+
+    def test_impostor_that_is_not_cospectral_is_rejected(self):
+        target = complete_bipartite(2, 2)
+        me = to_graph6(canonical_graph(target))
+        other = to_graph6(canonical_graph(path_graph(4)))
+        index = SpectrumIndex(4, {spectrum_json(target): (me, other)})
+        with pytest.raises(GraphError, match="re-verification"):
+            verify_drs(target, index=index)
+
+    def test_cospectral_impostor_is_reported(self):
+        a, b = COSPECTRAL_PAIR_9
+        key = spectrum_json(parse_graph6(a))
+        index = SpectrumIndex(9, {key: (a, b)})
+        verdict = verify_drs(parse_graph6(a), index=index)
+        assert not verdict.determined and verdict.impostors == (b,)
+        assert verdict.spectrum_json == key == spectrum_json(parse_graph6(b))
 
     def test_verdict_json(self):
         doc = verify_drs(complete_bipartite(1, 1)).to_json_dict()

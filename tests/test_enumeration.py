@@ -17,6 +17,7 @@ from resspec.graphs import (
     to_graph6,
 )
 from resspec.enumeration import (
+    CONNECTED_CLASS_COUNTS,
     CanonicalCode,
     are_isomorphic,
     canonical_form,
@@ -28,6 +29,7 @@ from resspec.enumeration import (
     load_connected_cache,
     save_connected_cache,
 )
+from resspec.graphs import sha256_hex
 
 # connected graph classes by vertex count (published sequence)
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117, 9: 261080}
@@ -128,6 +130,9 @@ class TestEnumeration:
     def test_counts(self, n):
         assert count_connected(n) == CONNECTED_COUNTS[n]
 
+    def test_library_table_is_the_published_sequence(self):
+        assert CONNECTED_CLASS_COUNTS == {**CONNECTED_COUNTS, 10: 11716571}
+
     def test_matches_brute_force_grouping(self):
         for n in range(1, 6):
             enumerated = {canonical_form(g) for g in enumerate_connected(n)}
@@ -202,6 +207,13 @@ class TestCache:
         path.write_text("A_\n")
         with pytest.raises(GraphError, match="trailer"):
             load_connected_cache(str(tmp_path), 2)
+
+    def test_wrong_count_with_valid_checksum_detected(self, tmp_path):
+        path = save_connected_cache(str(tmp_path), 5, list(enumerate_connected(5))[:-1])
+        payload = "".join(ln + "\n" for ln in open(path).read().splitlines()[:-1])
+        assert f"#sha256:{sha256_hex(payload.encode('ascii'))}" in open(path).read()
+        with pytest.raises(GraphError, match="20 classes, expected 21"):
+            load_connected_cache(str(tmp_path), 5)
 
     def test_connected_graphs_uses_cache(self, tmp_path):
         first = connected_graphs(4, cache_dir=str(tmp_path))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from resspec.resistance import (
     kmn_spectrum_closed_form,
     laplacian,
     parse_rational,
+    reduced_adjugate,
     resistance,
     resistance_by_forest_enumeration,
     resistance_diameter,
@@ -29,6 +31,7 @@ from resspec.resistance import (
     resistance_spectrum,
     spanning_tree_count,
     spanning_tree_count_by_enumeration,
+    spectrum_json,
 )
 
 
@@ -48,9 +51,44 @@ def cofactor_determinant(m):
     return total
 
 
+def cofactor_adjugate(m):
+    """adj[i][j] = (-1)^(i+j) * det(m without row j and column i) (test oracle)."""
+    n = len(m)
+    return [
+        [
+            (-1) ** (i + j) * cofactor_determinant(
+                [row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j]
+            )
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
 def random_graph(rng, n, p=0.5):
     edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
     return new_graph(n, edges)
+
+
+def random_connected_graph(rng, n, p=0.35):
+    while True:
+        g = random_graph(rng, n, p)
+        if is_connected(g):
+            return g
+
+
+def random_weighted_laplacian(rng, n):
+    """Integer Laplacian of a connected multigraph with conductances 1..6."""
+    L = [[0] * n for _ in range(n)]
+    edges = [(rng.randrange(v), v) for v in range(1, n)]  # a spanning tree
+    edges += [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+    for u, v in edges:
+        w = rng.randint(1, 6)
+        L[u][v] -= w
+        L[v][u] -= w
+        L[u][u] += w
+        L[v][v] += w
+    return L
 
 
 class TestLaplacian:
@@ -101,6 +139,26 @@ class TestBareissVsCofactor:
                 L = laplacian(g)
                 reduced = [row[1:] for row in L[1:]]
                 assert spanning_tree_count(g) == cofactor_determinant(reduced)
+
+    @staticmethod
+    def assert_adjugate_matches_cofactors(L):
+        minor = [row[:-1] for row in L[:-1]]
+        assert reduced_adjugate(L) == (cofactor_adjugate(minor), cofactor_determinant(minor))
+
+    def test_adjugate_on_all_connected_graphs_up_to_6(self):
+        for n in range(1, 7):
+            for g in enumerate_connected(n):
+                self.assert_adjugate_matches_cofactors(laplacian(g))
+
+    def test_adjugate_on_random_weighted_laplacians(self):
+        rng = random.Random(29)
+        for n in range(2, 10):
+            for _ in range(6):
+                self.assert_adjugate_matches_cofactors(random_weighted_laplacian(rng, n))
+
+    def test_adjugate_of_disconnected_laplacian_raises(self):
+        with pytest.raises(DisconnectedError):
+            reduced_adjugate(laplacian(new_graph(4, [(0, 1), (2, 3)])))
 
 
 class TestResistance:
@@ -214,6 +272,38 @@ class TestSpectrum:
         assert ResistanceSpectrum.from_json(s.to_json()) == s
 
 
+class TestIntegerSpectrum:
+    def test_matches_forest_oracle_up_to_5(self):
+        for n in range(2, 6):
+            for g in enumerate_connected(n):
+                oracle = ResistanceSpectrum.from_values(
+                    resistance_by_forest_enumeration(g, u, v)
+                    for u, v in itertools.combinations(range(n), 2)
+                )
+                assert resistance_spectrum(g) == oracle
+                assert spectrum_json(g) == oracle.to_json()
+
+    def test_matches_resistance_spectrum_on_every_class_up_to_7(self):
+        for n in range(1, 8):
+            for g in enumerate_connected(n):
+                assert spectrum_json(g) == resistance_spectrum(g).to_json()
+
+    def test_matches_matrix_pairs_on_random_graphs_9_to_12(self):
+        rng = random.Random(53)
+        for n in range(9, 13):
+            for _ in range(8):
+                g = random_connected_graph(rng, n)
+                pairs = (r for _, _, r in resistance_matrix(g).pairs())
+                assert spectrum_json(g) == ResistanceSpectrum.from_values(pairs).to_json()
+
+    def test_single_vertex_is_empty(self):
+        assert spectrum_json(new_graph(1, [])) == "[]"
+
+    def test_disconnected(self):
+        with pytest.raises(DisconnectedError):
+            spectrum_json(new_graph(3, [(0, 1)]))
+
+
 class TestDiameter:
     def test_k23(self):
         assert resistance_diameter(complete_bipartite(2, 3)) == 1
@@ -259,6 +349,13 @@ class TestRationalFormat:
 
     def test_fraction(self):
         assert format_rational(Fraction(2, 3)) == "2/3"
+
+    def test_to_json_is_compact_json_of_formatted_values(self):
+        s = ResistanceSpectrum(
+            ((Fraction(-3), 1), (Fraction(1, 7), 2), (Fraction(1), 3), (Fraction(22, 3), 4))
+        )
+        want = json.dumps([[format_rational(v), m] for v, m in s.entries], separators=(",", ":"))
+        assert s.to_json() == want == '[["-3",1],["1/7",2],["1",3],["22/3",4]]'
 
     @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
     @settings(max_examples=100)
