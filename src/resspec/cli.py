@@ -49,13 +49,18 @@ def _decimal_str(q: Fraction, digits: int = 12) -> str:
         return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cache-dir", default=os.environ.get("RESIST_CACHE_DIR"),
-                   help="cache directory (default: $RESIST_CACHE_DIR)")
-    p.add_argument("--threads", type=int, default=1, help="worker count (>= 1)")
-    p.add_argument("--output", choices=("json", "tsv", "human"), default="human")
-    p.add_argument("--decimal", action="store_true",
-                   help="also print 12-digit decimal approximations (marked '~')")
+def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
+    """Add the shared flags that this subcommand reads."""
+    flags = {
+        "--cache-dir": dict(default=os.environ.get("RESIST_CACHE_DIR"),
+                            help="cache directory (default: $RESIST_CACHE_DIR)"),
+        "--threads": dict(type=int, default=1, help="worker count (>= 1)"),
+        "--output": dict(choices=("json", "tsv", "human"), default="human"),
+        "--decimal": dict(action="store_true",
+                          help="also print 12-digit decimal approximations (marked '~')"),
+    }
+    for name in names:
+        p.add_argument(name, **flags[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,11 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph6", nargs="?", help="graph6 string (default: read stdin, one per line)")
     p.add_argument("u", type=int)
     p.add_argument("v", type=int)
-    _add_common(p)
+    _add_common(p, "--output", "--decimal")
 
     p = sub.add_parser("spectrum", help="resistance spectrum of a graph")
     p.add_argument("graph6", nargs="?", help="graph6 string (default: read stdin, one per line)")
-    _add_common(p)
+    _add_common(p, "--output", "--decimal")
 
     p = sub.add_parser("verify-drs", help="is the graph determined by its spectrum?")
     p.add_argument("--kmn", nargs=2, type=int, metavar=("M", "N"),
@@ -80,28 +85,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true",
                    help="sweep every K_{m,n} with m+n <= --max-n")
     p.add_argument("--max-n", type=int, default=9, help="largest order to allow (default 9)")
-    _add_common(p)
+    _add_common(p, "--cache-dir", "--threads", "--output")
 
     p = sub.add_parser("enumerate", help="connected graphs up to isomorphism, as graph6 lines")
     p.add_argument("n", type=int)
     p.add_argument("--cache", action="store_true", help="read/write the cache directory")
     p.add_argument("--allow-ten", action="store_true", help="permit n=10")
-    _add_common(p)
+    _add_common(p, "--cache-dir", "--threads")
 
     p = sub.add_parser("collisions", help="non-isomorphic pairs sharing a spectrum")
     p.add_argument("n", type=int)
     p.add_argument("--allow-ten", action="store_true", help="permit n=10")
-    _add_common(p)
+    _add_common(p, "--cache-dir", "--threads", "--output")
 
     p = sub.add_parser("check-lemmas", help="run the full lemma suite exhaustively")
     p.add_argument("--max-n", type=int, default=6, help="largest order to sweep (default 6)")
-    _add_common(p)
+    p.add_argument("--output", choices=("json", "human"), default="human")
+    _add_common(p, "--threads")
 
     p = sub.add_parser("reduce", help="apply series/parallel steps to a network file")
     p.add_argument("network_file")
     p.add_argument("steps", nargs="*",
                    help="steps like series:V or parallel:U,V, applied left to right")
-    _add_common(p)
 
     return parser
 

@@ -29,7 +29,7 @@ from .enumeration import (
     write_atomic,
 )
 from .parallel import ordered_map
-from .resistance import ResistanceSpectrum, resistance_spectrum, spectrum_json
+from .resistance import resistance_spectrum, spectrum_json
 
 # classification tags for complete bipartite targets, by part-size shape
 TAG_BALANCED = "Thm3.1"        # m == n
@@ -59,7 +59,7 @@ def classify_kmn(m: int, n: int) -> str:
 
 
 def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
-    """Part sizes (small, large) when g is complete bipartite, else None."""
+    """Part sizes (small, large), both >= 1, when g is complete bipartite, else None."""
     if not is_connected(g):
         return None
     n = g.order
@@ -76,7 +76,7 @@ def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
                 return None
     part0 = [v for v in range(n) if side[v] == 0]
     part1 = [v for v in range(n) if side[v] == 1]
-    if g.size != len(part0) * len(part1):
+    if not part1 or g.size != len(part0) * len(part1):
         return None
     return min(len(part0), len(part1)), max(len(part0), len(part1))
 
@@ -95,9 +95,6 @@ class SpectrumIndex:
     @property
     def class_count(self) -> int:
         return sum(len(v) for v in self.groups.values())
-
-    def group_for(self, spectrum: ResistanceSpectrum) -> tuple[str, ...]:
-        return self.groups.get(spectrum.to_json(), ())
 
     def collision_groups(self) -> dict[str, tuple[str, ...]]:
         return {k: v for k, v in self.groups.items() if len(v) >= 2}

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from functools import partial
 
-from .graphs import Graph, GraphError, find, parse_graph6, sha256_hex, to_graph6
+from .graphs import Graph, GraphError, _masks_reach, find, parse_graph6, sha256_hex, to_graph6
 from .parallel import ordered_map
 
 MAX_CANONICAL_ORDER = 16
@@ -87,7 +87,8 @@ def _bits_from_chunks(chunks: list[int]) -> int:
 class _CodeSearch:
     """Backtracking minimizer for the color-constrained adjacency bitstring."""
 
-    def __init__(self, n: int, masks: list[int], colors: list[int]):
+    def __init__(self, n: int, masks: list[int], colors: list[int],
+                 bound: list[int] | None = None):
         self.n = n
         self.masks = masks
         self.colors = colors
@@ -96,18 +97,11 @@ class _CodeSearch:
         self.unplaced = set(range(n))
         self.autos: list[tuple[int, ...]] = []
         self._auto_set: set[tuple[int, ...]] = set()
-        self.best: list[int] = [_INF] * n
+        # a bound acts as an already-complete best: only codes strictly
+        # below it ever record best_placed
+        self.best: list[int] = [_INF] * n if bound is None else list(bound)
         self.best_placed: list[int] | None = None
-        self.complete = False
-
-    def run(self, bound: list[int] | None = None) -> None:
-        if bound is not None:
-            self.best = list(bound)
-            self.complete = True
-        self._node(0)
-
-    def improved_on_bound(self) -> bool:
-        return self.best_placed is not None
+        self.complete = bound is not None
 
     def _node(self, level: int) -> None:
         n = self.n
@@ -181,13 +175,20 @@ def _forced_chunks(n: int, masks: list[int], colors: list[int]) -> tuple[list[in
     return chunks, placed
 
 
-def _min_labeling(n: int, masks: list[int], colors: list[int]) -> tuple[list[int], list[int]]:
-    """Minimal chunks and the achieving position->vertex order."""
+def _min_labeling(
+    n: int, masks: list[int], colors: list[int], bound: list[int] | None = None
+) -> tuple[list[int], list[int]] | None:
+    """Minimal chunks and the achieving position->vertex order.
+
+    With a bound, None unless the minimal chunks are strictly below it.
+    """
     if len(set(colors)) == n:
-        return _forced_chunks(n, masks, colors)  # discrete partition, no search
-    search = _CodeSearch(n, masks, colors)
-    search.run()
-    assert search.best_placed is not None
+        found = _forced_chunks(n, masks, colors)  # discrete partition, no search
+        return found if bound is None or found[0] < bound else None
+    search = _CodeSearch(n, masks, colors, bound)
+    search._node(0)
+    if search.best_placed is None:
+        return None
     return search.best, search.best_placed
 
 
@@ -196,43 +197,18 @@ def _marked_colors(n: int, masks: list[int], base_colors: list[int], mark: int) 
     return _refine_colors(n, masks, start)
 
 
-def _marked_chunks(n: int, masks: list[int], base_colors: list[int], mark: int) -> list[int]:
-    colors = _marked_colors(n, masks, base_colors, mark)
-    chunks, _ = _min_labeling(n, masks, colors)
-    return chunks
-
-
-def _marked_beats_bound(
-    n: int, masks: list[int], base_colors: list[int], mark: int, bound: list[int]
-) -> bool:
-    """True when the marked code of `mark` is strictly below `bound`."""
-    colors = _marked_colors(n, masks, base_colors, mark)
-    if len(set(colors)) == n:
-        chunks, _ = _forced_chunks(n, masks, colors)
-        return chunks < bound
-    search = _CodeSearch(n, masks, colors)
-    search.run(bound=bound)
-    return search.improved_on_bound()
-
-
-def _canonical_raw(n: int, masks: list[int]) -> tuple[int, list[int]]:
-    """Canonical bits plus the position->vertex order achieving them."""
-    colors = _refine_colors(n, masks, _degree_colors(n, masks))
-    chunks, placed = _min_labeling(n, masks, colors)
-    return _bits_from_chunks(chunks), placed
-
-
 def canonical_labeling(g: Graph) -> tuple[CanonicalCode, tuple[int, ...]]:
     """Canonical code and the map vertex -> canonical position."""
     if g.order > MAX_CANONICAL_ORDER:
         raise GraphError(
             f"canonical form supports order <= {MAX_CANONICAL_ORDER}, got {g.order}"
         )
-    bits, placed = _canonical_raw(g.order, list(g.adjacency_masks))
-    perm = [0] * g.order
+    n, masks = g.order, list(g.adjacency_masks)
+    chunks, placed = _min_labeling(n, masks, _refine_colors(n, masks, _degree_colors(n, masks)))
+    perm = [0] * n
     for pos, v in enumerate(placed):
         perm[v] = pos
-    return CanonicalCode(g.order, bits), tuple(perm)
+    return CanonicalCode(n, _bits_from_chunks(chunks)), tuple(perm)
 
 
 def canonical_form(g: Graph) -> CanonicalCode:
@@ -254,30 +230,17 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # canonical augmentation
 
-def _is_cut_masks(n: int, masks: list[int], w: int) -> bool:
-    excl = ~(1 << w)
-    full = ((1 << n) - 1) & excl
-    start = full & -full
-    reached = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            b = m & -m
-            nxt |= masks[b.bit_length() - 1]
-            m ^= b
-        frontier = nxt & excl & ~reached
-        reached |= frontier
-    return reached != full
-
-
 def _expand_parent(n: int, pbits: int) -> list[int]:
     """Accepted children (canonical bits) of one (n-1)-vertex parent."""
     v = n - 1
-    out: list[int] = []
+    full = (1 << n) - 1
+    out: dict[int, None] = {}  # canonical bits of the accepted children, deduplicated
     pmasks = Graph(n - 1, pbits).adjacency_masks
-    seen: set[int] = set()
+
+    def non_cut(masks: list[int], w: int) -> bool:
+        rest = full ^ (1 << w)
+        return _masks_reach(masks, rest) == rest
+
     for subset in range(1, 1 << (n - 1)):
         masks = [
             pmasks[u] | (((subset >> u) & 1) << v) for u in range(n - 1)
@@ -295,32 +258,29 @@ def _expand_parent(n: int, pbits: int) -> list[int]:
                 continue
             if dw == dv:
                 same_deg.append(w)
-            elif not _is_cut_masks(n, masks, w):
+            elif non_cut(masks, w):
                 rejected = True
                 break
         if rejected:
             continue
         # ... and among equal-degree non-cut vertices it must carry the
         # minimal refined color and survive the marked-code comparison
-        rivals = [w for w in same_deg if not _is_cut_masks(n, masks, w)]
+        base_colors = _refine_colors(n, masks, _degree_colors(n, masks))
+        cv = base_colors[v]
+        rivals = [w for w in same_deg if base_colors[w] <= cv and non_cut(masks, w)]
+        if any(base_colors[w] < cv for w in rivals):
+            continue
         if rivals:
-            base_colors = _refine_colors(n, masks, _degree_colors(n, masks))
-            cv = base_colors[v]
-            if any(base_colors[w] < cv for w in rivals):
+            bound, _ = _min_labeling(n, masks, _marked_colors(n, masks, base_colors, v))
+            if any(
+                _min_labeling(n, masks, _marked_colors(n, masks, base_colors, w), bound)
+                is not None
+                for w in rivals
+            ):
                 continue
-            rivals = [w for w in rivals if base_colors[w] == cv]
-            if rivals:
-                bound = _marked_chunks(n, masks, base_colors, v)
-                if any(
-                    _marked_beats_bound(n, masks, base_colors, w, bound)
-                    for w in rivals
-                ):
-                    continue
-        cbits, _ = _canonical_raw(n, masks)
-        if cbits not in seen:
-            seen.add(cbits)
-            out.append(cbits)
-    return out
+        chunks, _ = _min_labeling(n, masks, base_colors)
+        out[_bits_from_chunks(chunks)] = None
+    return list(out)
 
 
 _LEVEL_CACHE: dict[int, list[int]] = {1: [0]}

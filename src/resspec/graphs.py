@@ -161,26 +161,23 @@ def cycle_graph(n: int) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    return _masks_connected(g.order, g.adjacency_masks)
+    return _masks_reach(g.adjacency_masks, (1 << g.order) - 1).bit_count() == g.order
 
 
-def _masks_connected(n: int, masks) -> bool:
-    # bitmask BFS: expand the reached set until it stops growing
-    reached = 1
-    frontier = 1
-    full = (1 << n) - 1
-    while frontier:
+def _masks_reach(masks, within: int) -> int:
+    """Vertices of the bitmask `within` reachable from its lowest vertex inside it."""
+    # bitmask BFS: grow the reached set until it stops growing or fills `within`
+    reached = frontier = within & -within
+    while frontier and reached != within:
         nxt = 0
         m = frontier
         while m:
             b = m & -m
             nxt |= masks[b.bit_length() - 1]
             m ^= b
-        frontier = nxt & ~reached
+        frontier = nxt & within & ~reached
         reached |= frontier
-        if reached == full:
-            return True
-    return reached == full
+    return reached
 
 
 def find(parent: list[int], x: int) -> int:

@@ -16,12 +16,13 @@ from itertools import combinations, permutations
 from .graphs import (
     Graph,
     GraphError,
+    _masks_reach,
     blocks_and_cut_vertices,
     delete_edge,
     is_connected,
     to_graph6,
 )
-from .enumeration import enumerate_connected
+from .enumeration import ENUMERATION_GUARD, enumerate_connected
 from .parallel import ordered_map
 from .resistance import ResistanceMatrix, format_rational, resistance_matrix
 
@@ -203,24 +204,15 @@ def check_cycle_bound(g: Graph) -> CheckReport:
 
 def _components_without(g: Graph, w: int) -> list[int]:
     """Component id per vertex after removing w (w itself gets -1)."""
-    masks = g.adjacency_masks
     comp = [-1] * g.order
+    rest = ((1 << g.order) - 1) ^ (1 << w)
     cid = 0
-    for s in range(g.order):
-        if s == w or comp[s] >= 0:
-            continue
-        comp[s] = cid
-        frontier = [s]
-        while frontier:
-            x = frontier.pop()
-            m = masks[x]
-            while m:
-                b = m & -m
-                y = b.bit_length() - 1
-                m ^= b
-                if y != w and comp[y] < 0:
-                    comp[y] = cid
-                    frontier.append(y)
+    while rest:
+        reach = _masks_reach(g.adjacency_masks, rest)
+        rest ^= reach
+        for y in range(g.order):
+            if (reach >> y) & 1:
+                comp[y] = cid
         cid += 1
     return comp
 
@@ -287,6 +279,8 @@ def run_all_checks(n_max: int, *, threads: int = 1) -> dict:
     Returns a JSON-ready summary with per-lemma pass counts; `failures`
     stays empty unless the resistance engine itself is broken.
     """
+    if not 1 <= n_max <= ENUMERATION_GUARD:
+        raise GraphError(f"--max-n (n_max) must be in 1..{ENUMERATION_GUARD}, got {n_max}")
     graphs_checked = 0
     failures: list[dict] = []
     fail_counts = {lemma: 0 for lemma in LEMMA_IDS}

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .graphs import Graph, _masks_connected, blocks_and_cut_vertices, delete_vertices
+from .graphs import Graph, _masks_reach, blocks_and_cut_vertices, delete_vertices
 from .resistance import (
     DisconnectedError,
     format_rational,
@@ -83,7 +83,7 @@ def is_network_connected(net: WeightedNetwork) -> bool:
     for u, v, _ in net.edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    return _masks_connected(net.order, masks)
+    return _masks_reach(masks, (1 << net.order) - 1).bit_count() == net.order
 
 
 def _integer_laplacian(net: WeightedNetwork) -> tuple[list[list[int]], int]:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from decimal import getcontext, localcontext
@@ -125,6 +126,12 @@ class TestVerifyDrsCommand:
         code, _, err = run_cli(capsys, "verify-drs")
         assert code == 1 and "connected graphs" in err
 
+    def test_one_vertex_target_is_not_complete_bipartite(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-drs", "--graph", "@", "--output", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["theorem_tag"] == "not-complete-bipartite" and doc["determined"] is True
+
     def test_conflicting_selectors(self, capsys):
         code, _, err = run_cli(capsys, "verify-drs", "--kmn", "1", "1", "--all")
         assert code == 1 and "choose one" in err
@@ -135,6 +142,14 @@ class TestEnumerateCommand:
         code, out, _ = run_cli(capsys, "enumerate", "4")
         lines = out.splitlines()
         assert code == 0 and len(lines) == 6
+
+    def test_n8_stdout_is_pinned(self, capsys):
+        # the class counts alone would not notice every code changing consistently
+        code, out, _ = run_cli(capsys, "enumerate", "8")
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+            "47fbec3f2ba835faf71994ab8a9389aa3d9822cd36515f028c042a4dc003b936"
+        )
 
     def test_guard(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "10")
@@ -174,6 +189,16 @@ class TestCheckLemmasCommand:
         doc = json.loads(out)
         assert doc["failures_total"] == 0 and doc["graphs_checked"] == 4
 
+    @pytest.mark.parametrize("max_n", ["12", "0"])
+    def test_max_n_outside_guard_fails_before_any_work(self, capsys, monkeypatch, max_n):
+        from resspec import lemmas
+
+        calls = []
+        monkeypatch.setattr(lemmas, "enumerate_connected", lambda n, **kw: calls.append(n) or [])
+        code, _, err = run_cli(capsys, "check-lemmas", "--max-n", max_n)
+        assert code == 1 and "--max-n" in err
+        assert calls == []
+
 
 class TestReduceCommand:
     def test_series_then_output(self, capsys, tmp_path):
@@ -203,6 +228,24 @@ class TestUsageErrors:
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("reduce", "NET", "--threads", "2"),
+        ("resistance", "A_", "0", "1", "--cache-dir", "DIR"),
+        ("spectrum", "A_", "--threads", "2"),
+        ("verify-drs", "--kmn", "1", "1", "--decimal"),
+        ("collisions", "3", "--decimal"),
+        ("enumerate", "4", "--output", "json"),
+        ("check-lemmas", "--max-n", "3", "--cache-dir", "DIR"),
+        ("check-lemmas", "--max-n", "3", "--output", "tsv"),
+    ])
+    def test_flag_the_command_does_not_read(self, capsys, tmp_path, argv):
+        net = tmp_path / "net.txt"
+        net.write_text("2 1\n0 1 1\n")
+        argv = [{"NET": str(net), "DIR": str(tmp_path)}.get(a, a) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err or "invalid choice" in err
 
     def test_bad_threads(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "4", "--threads", "0")

@@ -79,6 +79,7 @@ class TestCompleteBipartiteDetection:
         assert complete_bipartite_parts(path_graph(4)) is None  # bipartite, not complete
         assert complete_bipartite_parts(complete_graph(3)) is None  # odd cycle
         assert complete_bipartite_parts(new_graph(3, [(0, 1)])) is None  # disconnected
+        assert complete_bipartite_parts(new_graph(1, [])) is None  # K_1: one part empty
 
 
 class TestIndex:

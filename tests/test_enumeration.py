@@ -19,6 +19,10 @@ from resspec.graphs import (
 from resspec.enumeration import (
     CONNECTED_CLASS_COUNTS,
     CanonicalCode,
+    _degree_colors,
+    _marked_colors,
+    _min_labeling,
+    _refine_colors,
     are_isomorphic,
     canonical_form,
     canonical_graph,
@@ -93,6 +97,26 @@ class TestCanonicalForm:
         canonical_form(complete_bipartite(4, 5))
         canonical_form(complete_bipartite(3, 6))
         canonical_form(cycle_graph(9))
+
+
+class TestMinLabelingBound:
+    def test_none_exactly_when_the_minimum_is_not_below_the_bound(self):
+        # every pair of marks (a, b) on every class of order <= 6: the code
+        # marked at a against the bound set by the code marked at b
+        discrete_seen = set()
+        for n in range(1, 7):
+            for g in enumerate_connected(n):
+                masks = list(g.adjacency_masks)
+                base = _refine_colors(n, masks, _degree_colors(n, masks))
+                marked = [_marked_colors(n, masks, base, mark) for mark in range(n)]
+                minima = [_min_labeling(n, masks, colors)[0] for colors in marked]
+                for colors, minimum in zip(marked, minima):
+                    discrete_seen.add(len(set(colors)) == n)
+                    for bound in minima:
+                        got = _min_labeling(n, masks, colors, bound)
+                        assert (got is None) == (minimum >= bound)
+                        assert got is None or got[0] == minimum
+        assert discrete_seen == {True, False}  # the forced path and the search
 
 
 class TestIsomorphism:

@@ -9,6 +9,7 @@ from resspec.graphs import (
     Graph,
     Graph6Error,
     GraphError,
+    _masks_reach,
     add_edge,
     blocks_and_cut_vertices,
     bridges,
@@ -160,6 +161,19 @@ class TestBlocks:
                     survives, _ = delete_vertices(g, [v])
                     assert is_connected(survives) == (v not in cuts)
                     assert (block_count[v] >= 2) == (v in cuts)
+
+    def test_masks_reach_misses_part_of_the_rest_exactly_at_cut_vertices(self):
+        from resspec.enumeration import enumerate_connected
+
+        for n in range(1, 8):
+            full = (1 << n) - 1
+            for g in enumerate_connected(n):
+                _, cuts = blocks_and_cut_vertices(g)
+                split = {
+                    w for w in range(n)
+                    if _masks_reach(g.adjacency_masks, full ^ (1 << w)) != full ^ (1 << w)
+                }
+                assert split == cuts
 
 
 class TestMutators:
