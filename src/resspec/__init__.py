@@ -17,11 +17,9 @@ from .graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    degree,
     delete_edge,
     delete_vertices,
     is_connected,
-    neighbors,
     new_graph,
     parse_graph6,
     path_graph,

@@ -16,7 +16,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import drs, lemmas
-from .enumeration import connected_graphs, enumerate_connected
+from .enumeration import connected_graphs
 from .graphs import complete_bipartite, is_connected, parse_graph6, to_graph6
 from .reduction import (
     network_to_text,
@@ -89,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="connected graphs up to isomorphism, as graph6 lines")
     p.add_argument("n", type=int)
-    p.add_argument("--cache", action="store_true", help="read/write the cache directory")
     p.add_argument("--allow-ten", action="store_true", help="permit n=10")
     _add_common(p, "--cache-dir", "--threads")
 
@@ -186,9 +185,9 @@ def _print_verdict(verdict: drs.DrsVerdict, output: str) -> None:
 def _cmd_verify_drs(args) -> int:
     if sum(bool(x) for x in (args.kmn, args.graph, args.all)) > 1:
         raise CliError("choose one of --kmn, --graph, --all")
+    if not 1 <= args.max_n <= 10:
+        raise CliError(f"--max-n must be in 1..10, got {args.max_n}")
     allow_ten = args.max_n >= 10
-    if args.max_n > 10:
-        raise CliError("--max-n beyond 10 is not supported")
     verdicts: list[drs.DrsVerdict] = []
     if args.all:
         verdicts = drs.check_theorems(
@@ -227,16 +226,9 @@ def _cmd_verify_drs(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.cache and not args.cache_dir:
-        raise CliError("--cache needs --cache-dir (or $RESIST_CACHE_DIR)")
-    if args.cache:
-        graphs = connected_graphs(
-            args.n, cache_dir=args.cache_dir, threads=args.threads,
-            allow_ten=args.allow_ten,
-        )
-    else:
-        graphs = enumerate_connected(args.n, threads=args.threads, allow_ten=args.allow_ten)
-    for g in graphs:
+    for g in connected_graphs(
+        args.n, cache_dir=args.cache_dir, threads=args.threads, allow_ten=args.allow_ten,
+    ):
         print(to_graph6(g))
     return 0
 

@@ -104,14 +104,6 @@ def spectra_cache_path(cache_dir: str, n: int) -> str:
     return os.path.join(cache_dir, f"spectra-{n}.tsv")
 
 
-def _spectrum_key(g6: str) -> str:
-    return spectrum_json(parse_graph6(g6))
-
-
-def _compute_spectra(g6s: list[str], threads: int) -> list[str]:
-    return ordered_map(_spectrum_key, g6s, threads)
-
-
 def _load_spectra_cache(cache_dir: str, n: int) -> list[tuple[str, str]] | None:
     path = spectra_cache_path(cache_dir, n)
     if not os.path.exists(path):
@@ -149,13 +141,10 @@ def index_spectra(
     if cache_dir:
         rows = _load_spectra_cache(cache_dir, n)
     if rows is None:
-        g6s = [
-            to_graph6(g)
-            for g in connected_graphs(
-                n, cache_dir=cache_dir, threads=threads, allow_ten=allow_ten
-            )
-        ]
-        rows = list(zip(g6s, _compute_spectra(g6s, threads)))
+        graphs = list(connected_graphs(
+            n, cache_dir=cache_dir, threads=threads, allow_ten=allow_ten
+        ))
+        rows = list(zip(map(to_graph6, graphs), ordered_map(spectrum_json, graphs, threads)))
         if cache_dir:
             _save_spectra_cache(cache_dir, n, rows)
     groups: dict[str, list[str]] = {}

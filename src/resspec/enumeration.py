@@ -20,6 +20,7 @@ across parents the designated-orbit rule already guarantees uniqueness.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 
@@ -375,13 +376,13 @@ def load_connected_cache(cache_dir: str, n: int) -> list[Graph] | None:
 
 def connected_graphs(
     n: int, *, cache_dir: str | None = None, threads: int = 1, allow_ten: bool = False
-) -> list[Graph]:
-    """Connected classes on n vertices, via the cache directory when given."""
-    if cache_dir:
-        cached = load_connected_cache(cache_dir, n)
-        if cached is not None:
-            return cached
-    graphs = list(enumerate_connected(n, threads=threads, allow_ten=allow_ten))
-    if cache_dir:
+) -> Iterable[Graph]:
+    """Connected classes on n vertices: a list, via the cache directory when
+    given; else a generator, so that streaming them never holds them all."""
+    if not cache_dir:
+        return enumerate_connected(n, threads=threads, allow_ten=allow_ten)
+    graphs = load_connected_cache(cache_dir, n)
+    if graphs is None:
+        graphs = list(enumerate_connected(n, threads=threads, allow_ten=allow_ten))
         save_connected_cache(cache_dir, n, graphs)
     return graphs

@@ -188,14 +188,6 @@ def find(parent: list[int], x: int) -> int:
     return x
 
 
-def degree(g: Graph, v: int) -> int:
-    return g.degree(v)
-
-
-def neighbors(g: Graph, v: int) -> frozenset[int]:
-    return g.neighbors(v)
-
-
 def blocks_and_cut_vertices(g: Graph) -> tuple[list[frozenset[int]], frozenset[int]]:
     """Block decomposition of a connected graph.
 

@@ -26,16 +26,6 @@ from .enumeration import ENUMERATION_GUARD, enumerate_connected
 from .parallel import ordered_map
 from .resistance import ResistanceMatrix, format_rational, resistance_matrix
 
-LEMMA_IDS = (
-    "triangle",
-    "foster",
-    "local_sum",
-    "degree_bound",
-    "rayleigh",
-    "cycle_bound",
-    "cut_additivity",
-)
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -69,12 +59,14 @@ def _fail(lemma_id: str, g: Graph, vertices, lhs, rhs) -> CheckReport:
     return CheckReport(lemma_id, False, Witness(g, tuple(vertices), lhs, rhs))
 
 
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise GraphError("check requires a connected graph")
+def _first(reports) -> CheckReport | None:
+    return next((report for report in reports if report), None)
 
 
-def _triangle_witness(g: Graph, rm: ResistanceMatrix) -> CheckReport | None:
+# Every witness takes (g, rm, bridges, cuts) from _context and returns the
+# first violation it finds, or None.
+
+def _triangle(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckReport | None:
     for u, v, w in permutations(range(g.order), 3):
         lhs = rm.value(u, v) + rm.value(v, w)
         rhs = rm.value(u, w)
@@ -83,13 +75,7 @@ def _triangle_witness(g: Graph, rm: ResistanceMatrix) -> CheckReport | None:
     return None
 
 
-def check_triangle(g: Graph) -> CheckReport:
-    """R(u,v) + R(v,w) >= R(u,w) for every ordered vertex triple."""
-    _require_connected(g)
-    return _triangle_witness(g, resistance_matrix(g)) or CheckReport("triangle", True)
-
-
-def _foster_witness(g: Graph, rm: ResistanceMatrix) -> CheckReport | None:
+def _foster(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckReport | None:
     total = sum((rm.value(u, v) for u, v in g.edges()), Fraction(0))
     want = Fraction(g.order - 1)
     if total != want:
@@ -97,41 +83,20 @@ def _foster_witness(g: Graph, rm: ResistanceMatrix) -> CheckReport | None:
     return None
 
 
-def check_foster(g: Graph) -> CheckReport:
-    """Resistances summed over the edges equal n - 1 exactly."""
-    _require_connected(g)
-    return _foster_witness(g, resistance_matrix(g)) or CheckReport("foster", True)
-
-
-def _local_sum_sides(g: Graph, rm: ResistanceMatrix, u: int, v: int) -> tuple[Fraction, Fraction]:
+def _local_sum_at(g: Graph, rm: ResistanceMatrix, u: int, v: int) -> CheckReport | None:
     lhs = g.degree(u) * rm.value(u, v)
     for z in g.neighbor_lists[u]:
         lhs += rm.value(z, u) - rm.value(z, v)
-    return lhs, Fraction(2)
-
-
-def check_local_sum(g: Graph, u: int, v: int) -> CheckReport:
-    """d(u)*R(u,v) + sum over neighbors z of u of (R(z,u) - R(z,v)) = 2."""
-    _require_connected(g)
-    g._check_vertex(u)
-    g._check_vertex(v)
-    if u == v:
-        raise GraphError("local sum check needs two distinct vertices")
-    lhs, rhs = _local_sum_sides(g, resistance_matrix(g), u, v)
-    if lhs != rhs:
-        return _fail("local_sum", g, (u, v), lhs, rhs)
-    return CheckReport("local_sum", True)
-
-
-def _local_sum_witness(g: Graph, rm: ResistanceMatrix) -> CheckReport | None:
-    for u, v in permutations(range(g.order), 2):
-        lhs, rhs = _local_sum_sides(g, rm, u, v)
-        if lhs != rhs:
-            return _fail("local_sum", g, (u, v), lhs, rhs)
+    if lhs != 2:
+        return _fail("local_sum", g, (u, v), lhs, Fraction(2))
     return None
 
 
-def _degree_bound_witness(g: Graph, rm: ResistanceMatrix) -> CheckReport | None:
+def _local_sum(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckReport | None:
+    return _first(_local_sum_at(g, rm, u, v) for u, v in permutations(range(g.order), 2))
+
+
+def _degree_bound(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckReport | None:
     masks = g.adjacency_masks
     for u, v in combinations(range(g.order), 2):
         r = rm.value(u, v)
@@ -147,59 +112,24 @@ def _degree_bound_witness(g: Graph, rm: ResistanceMatrix) -> CheckReport | None:
     return None
 
 
-def check_lower_bound(g: Graph) -> CheckReport:
-    """R(u,v) >= 1/(d(u)+1) + 1/(d(v)+1), with equality exactly for
-    adjacent vertices sharing all other neighbors (checked both ways)."""
-    _require_connected(g)
-    return _degree_bound_witness(g, resistance_matrix(g)) or CheckReport("degree_bound", True)
-
-
-def check_rayleigh(g: Graph, e: tuple[int, int]) -> CheckReport:
-    """Deleting an edge never lowers any resistance.
-
-    A bridge makes the comparison vacuous (resistances become infinite);
-    that case passes with an explanatory note instead of a witness.
-    """
-    _require_connected(g)
-    u, v = e
-    if not g.has_edge(u, v):
-        raise GraphError(f"({u},{v}) is not an edge")
-    smaller = delete_edge(g, u, v)
-    if not is_connected(smaller):
-        return CheckReport(
-            "rayleigh", True,
-            note=f"edge ({u},{v}) is a bridge; deletion disconnects, comparison vacuous",
-        )
-    report = _rayleigh_witness(g, resistance_matrix(g), smaller)
-    return report or CheckReport("rayleigh", True)
-
-
-def _rayleigh_witness(g: Graph, rm: ResistanceMatrix, smaller: Graph) -> CheckReport | None:
-    rm2 = resistance_matrix(smaller)
+def _rayleigh_at(g: Graph, rm: ResistanceMatrix, e: tuple[int, int]) -> CheckReport | None:
+    rm2 = resistance_matrix(delete_edge(g, *e))
     for x, y in combinations(range(g.order), 2):
         if rm2.value(x, y) < rm.value(x, y):
             return _fail("rayleigh", g, (x, y), rm2.value(x, y), rm.value(x, y))
     return None
 
 
-def _cycle_bound_witness(
-    g: Graph, rm: ResistanceMatrix, block_info=None
-) -> CheckReport | None:
-    blocks, _ = block_info if block_info else blocks_and_cut_vertices(g)
-    bridge_set = {tuple(sorted(b)) for b in blocks if len(b) == 2}
+def _rayleigh(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckReport | None:
+    return _first(_rayleigh_at(g, rm, e) for e in g.edges() if e not in bridges)
+
+
+def _cycle_bound(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckReport | None:
     one = Fraction(1)
     for u, v in g.edges():
-        if (u, v) in bridge_set:
-            continue
-        if rm.value(u, v) >= one:
+        if (u, v) not in bridges and rm.value(u, v) >= one:
             return _fail("cycle_bound", g, (u, v), rm.value(u, v), one)
     return None
-
-
-def check_cycle_bound(g: Graph) -> CheckReport:
-    """Every edge lying on a cycle has resistance strictly below 1."""
-    _require_connected(g)
-    return _cycle_bound_witness(g, resistance_matrix(g)) or CheckReport("cycle_bound", True)
 
 
 def _components_without(g: Graph, w: int) -> list[int]:
@@ -217,10 +147,7 @@ def _components_without(g: Graph, w: int) -> list[int]:
     return comp
 
 
-def _cut_additivity_witness(
-    g: Graph, rm: ResistanceMatrix, block_info=None
-) -> CheckReport | None:
-    _, cuts = block_info if block_info else blocks_and_cut_vertices(g)
+def _cut_additivity(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckReport | None:
     for w in sorted(cuts):
         comp = _components_without(g, w)
         for u, v in combinations(range(g.order), 2):
@@ -233,43 +160,96 @@ def _cut_additivity_witness(
     return None
 
 
+_WITNESSES = {
+    "triangle": _triangle,
+    "foster": _foster,
+    "local_sum": _local_sum,
+    "degree_bound": _degree_bound,
+    "rayleigh": _rayleigh,
+    "cycle_bound": _cycle_bound,
+    "cut_additivity": _cut_additivity,
+}
+LEMMA_IDS = tuple(_WITNESSES)
+
+
+def _context(g: Graph) -> tuple[ResistanceMatrix, frozenset, frozenset[int]]:
+    """Resistance matrix, bridges (two-vertex blocks, as sorted pairs) and cut vertices."""
+    if not is_connected(g):
+        raise GraphError("check requires a connected graph")
+    blocks, cuts = blocks_and_cut_vertices(g)
+    bridges = frozenset(tuple(sorted(b)) for b in blocks if len(b) == 2)
+    return resistance_matrix(g), bridges, cuts
+
+
+def _check(lemma_id: str, g: Graph) -> CheckReport:
+    return _WITNESSES[lemma_id](g, *_context(g)) or CheckReport(lemma_id, True)
+
+
+def check_triangle(g: Graph) -> CheckReport:
+    """R(u,v) + R(v,w) >= R(u,w) for every ordered vertex triple."""
+    return _check("triangle", g)
+
+
+def check_foster(g: Graph) -> CheckReport:
+    """Resistances summed over the edges equal n - 1 exactly."""
+    return _check("foster", g)
+
+
+def check_local_sum(g: Graph, u: int, v: int) -> CheckReport:
+    """d(u)*R(u,v) + sum over neighbors z of u of (R(z,u) - R(z,v)) = 2."""
+    rm, _, _ = _context(g)
+    g._check_vertex(u)
+    g._check_vertex(v)
+    if u == v:
+        raise GraphError("local sum check needs two distinct vertices")
+    return _local_sum_at(g, rm, u, v) or CheckReport("local_sum", True)
+
+
+def check_lower_bound(g: Graph) -> CheckReport:
+    """R(u,v) >= 1/(d(u)+1) + 1/(d(v)+1), with equality exactly for
+    adjacent vertices sharing all other neighbors (checked both ways)."""
+    return _check("degree_bound", g)
+
+
+def check_rayleigh(g: Graph, e: tuple[int, int]) -> CheckReport:
+    """Deleting an edge never lowers any resistance.
+
+    A bridge makes the comparison vacuous (resistances become infinite);
+    that case passes with an explanatory note instead of a witness.
+    """
+    rm, bridges, _ = _context(g)
+    u, v = e
+    if not g.has_edge(u, v):
+        raise GraphError(f"({u},{v}) is not an edge")
+    if (min(u, v), max(u, v)) in bridges:
+        return CheckReport(
+            "rayleigh", True,
+            note=f"edge ({u},{v}) is a bridge; deletion disconnects, comparison vacuous",
+        )
+    return _rayleigh_at(g, rm, e) or CheckReport("rayleigh", True)
+
+
+def check_cycle_bound(g: Graph) -> CheckReport:
+    """Every edge lying on a cycle has resistance strictly below 1."""
+    return _check("cycle_bound", g)
+
+
 def check_cut_additivity(g: Graph) -> CheckReport:
     """R(u,v) = R(u,w) + R(w,v) whenever the cut vertex w separates u from v."""
-    _require_connected(g)
-    return _cut_additivity_witness(g, resistance_matrix(g)) or CheckReport("cut_additivity", True)
+    return _check("cut_additivity", g)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive sweep
 
-def _check_graph_all(g: Graph) -> list[CheckReport]:
-    """All lemma violations on one connected graph (expected: none)."""
-    rm = resistance_matrix(g)
-    block_info = blocks_and_cut_vertices(g)
-    failures = []
-    for fn in (_triangle_witness, _foster_witness, _local_sum_witness, _degree_bound_witness):
-        report = fn(g, rm)
-        if report:
-            failures.append(report)
-    for fn in (_cycle_bound_witness, _cut_additivity_witness):
-        report = fn(g, rm, block_info)
-        if report:
-            failures.append(report)
-    bridge_set = {tuple(sorted(b)) for b in block_info[0] if len(b) == 2}
-    for u, v in g.edges():
-        if (u, v) in bridge_set:
-            continue
-        report = _rayleigh_witness(g, rm, delete_edge(g, u, v))
-        if report:
-            failures.append(report)
-    return failures
-
-
 def _sweep_graph(g: Graph) -> list[dict]:
     """Lemma-tagged witnesses of every lemma violation on one graph."""
+    context = _context(g)
+    reports = (witness(g, *context) for witness in _WITNESSES.values())
     return [
         {"lemma": report.lemma_id, **report.witness.to_json_dict()}
-        for report in _check_graph_all(g)
+        for report in reports
+        if report
     ]
 
 
@@ -291,8 +271,8 @@ def run_all_checks(n_max: int, *, threads: int = 1) -> dict:
         graphs_checked += len(graphs)
         for witnesses in ordered_map(_sweep_graph, graphs, threads):
             failures.extend(witnesses)
-            for lemma in {w["lemma"] for w in witnesses}:
-                fail_counts[lemma] += 1
+            for w in witnesses:  # at most one witness per lemma and graph
+                fail_counts[w["lemma"]] += 1
     return {
         "max_order": n_max,
         "graphs_checked": graphs_checked,

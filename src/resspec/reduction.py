@@ -15,7 +15,6 @@ from math import lcm
 
 from .graphs import Graph, _masks_reach, blocks_and_cut_vertices, delete_vertices
 from .resistance import (
-    DisconnectedError,
     format_rational,
     parse_rational,
     reduced_adjugate,
@@ -112,8 +111,6 @@ def weighted_resistance(net: WeightedNetwork, u: int, v: int) -> Fraction:
         raise ReductionError("vertex out of range")
     if u == v:
         raise ReductionError("resistance requires two distinct vertices")
-    if not is_network_connected(net):
-        raise DisconnectedError("infinite resistance: network is disconnected")
     L, s = _integer_laplacian(net)
     adj, det = reduced_adjugate(L)
     return Fraction(s * resistance_numerator(adj, u, v), det)
@@ -121,8 +118,6 @@ def weighted_resistance(net: WeightedNetwork, u: int, v: int) -> Fraction:
 
 def weighted_resistance_matrix(net: WeightedNetwork) -> list[list[Fraction]]:
     """All-pairs resistances from one exact adjugate of the scaled Laplacian."""
-    if not is_network_connected(net):
-        raise DisconnectedError("infinite resistance: network is disconnected")
     L, s = _integer_laplacian(net)
     return resistance_rows(L, s)
 

@@ -72,7 +72,9 @@ def reduced_adjugate(L: list[list[int]]) -> tuple[list[list[int]], int]:
     """Adjugate and determinant of an integer Laplacian without its last row/column.
 
     For a connected network the minor is positive definite, so Bareiss forward
-    elimination needs no pivoting; the adjugate is recovered column by column
+    elimination needs no pivoting. Otherwise a pivot or the determinant is
+    zero and DisconnectedError is raised; this is the connectivity check of
+    every resistance function. The adjugate is recovered column by column
     with integer back-substitution (every division below is exact because the
     adjugate is an integer matrix). The determinant is the (weighted)
     spanning-tree count, and R(u, v) = resistance_numerator(adj, u, v) / det.
@@ -153,8 +155,6 @@ def resistance(g: Graph, u: int, v: int) -> Fraction:
     g._check_vertex(v)
     if u == v:
         raise GraphError("resistance requires two distinct vertices")
-    if not is_connected(g):
-        raise DisconnectedError("infinite resistance: graph is disconnected")
     adj, det = reduced_adjugate(laplacian(g))
     return Fraction(resistance_numerator(adj, u, v), det)
 
@@ -176,8 +176,6 @@ class ResistanceMatrix:
 
 def resistance_matrix(g: Graph) -> ResistanceMatrix:
     """All-pairs resistances sharing one adjugate/determinant computation."""
-    if not is_connected(g):
-        raise DisconnectedError("infinite resistance: graph is disconnected")
     rows = resistance_rows(laplacian(g))
     return ResistanceMatrix(g.order, tuple(tuple(row) for row in rows))
 
@@ -234,8 +232,6 @@ def _spectrum_runs(g: Graph) -> list[tuple[int, int, int]]:
     numerators det * R(u, v) sorts the resistances, and each distinct
     value needs one gcd.
     """
-    if not is_connected(g):
-        raise DisconnectedError("infinite resistance: graph is disconnected")
     adj, det = reduced_adjugate(laplacian(g))
     diag = [adj[i][i] for i in range(len(adj))]
     nums = diag[:]  # pairs with the deleted last vertex

@@ -97,6 +97,15 @@ class TestVerifyDrsCommand:
         code, _, err = run_cli(capsys, "verify-drs", "--kmn", "4", "6")
         assert code == 1 and "--max-n" in err
 
+    @pytest.mark.parametrize("max_n", ["-3", "0", "11"])
+    def test_max_n_outside_range_fails_before_any_work(self, capsys, monkeypatch, max_n):
+        from resspec import drs
+
+        monkeypatch.setattr(drs, "check_theorems", None)
+        monkeypatch.setattr(drs, "index_spectra", None)
+        code, out, err = run_cli(capsys, "verify-drs", "--all", "--max-n", max_n)
+        assert code == 1 and out == "" and "--max-n" in err
+
     def test_graph_target(self, capsys):
         code, out, _ = run_cli(capsys, "verify-drs", "--graph", "Bw", "--output", "human")
         assert code == 0 and "determined" in out
@@ -155,14 +164,15 @@ class TestEnumerateCommand:
         code, _, err = run_cli(capsys, "enumerate", "10")
         assert code == 1 and "allow_ten" in err
 
-    def test_cache_flag_needs_dir(self, capsys, monkeypatch):
+    def test_cache_dir_alone_writes_the_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("RESIST_CACHE_DIR", raising=False)
-        code, _, err = run_cli(capsys, "enumerate", "4", "--cache")
-        assert code == 1 and "--cache-dir" in err
+        code, out, _ = run_cli(capsys, "enumerate", "4", "--cache-dir", str(tmp_path))
+        assert code == 0 and len(out.splitlines()) == 6
+        assert (tmp_path / "connected-4.g6").exists()
 
     def test_cache_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("RESIST_CACHE_DIR", str(tmp_path))
-        code, out, _ = run_cli(capsys, "enumerate", "4", "--cache")
+        code, out, _ = run_cli(capsys, "enumerate", "4")
         assert code == 0 and (tmp_path / "connected-4.g6").exists()
 
 

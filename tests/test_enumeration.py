@@ -243,3 +243,9 @@ class TestCache:
         first = connected_graphs(4, cache_dir=str(tmp_path))
         assert (tmp_path / "connected-4.g6").exists()
         assert connected_graphs(4, cache_dir=str(tmp_path)) == first
+
+    def test_connected_graphs_streams_without_a_cache(self):
+        # `enumerate 9` would otherwise hold all 261,080 Graph objects at once
+        graphs = connected_graphs(4)
+        assert not isinstance(graphs, list)
+        assert list(graphs) == list(enumerate_connected(4))

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from resspec.graphs import (
     path_graph,
 )
 from resspec.lemmas import (
+    LEMMA_IDS,
     CheckReport,
     Witness,
     check_cut_additivity,
@@ -154,30 +156,99 @@ class TestReportShape:
         assert doc == {"graph6": "Bg", "vertices": [0, 2], "lhs": "1/2", "rhs": "3/4"}
 
 
+def _with_entry(rm, u, v, value):
+    """rm with R(u, v) = R(v, u) = value."""
+    from resspec.resistance import ResistanceMatrix
+
+    rows = [list(row) for row in rm.rows]
+    rows[u][v] = rows[v][u] = value
+    return ResistanceMatrix(rm.order, tuple(map(tuple, rows)))
+
+
+def _corrupt_first_pair(real):
+    """resistance_matrix with R(0, 1) raised by one on every graph of order >= 2."""
+    def corrupted(g):
+        rm = real(g)
+        return rm if rm.order < 2 else _with_entry(rm, 0, 1, rm.value(0, 1) + 1)
+    return corrupted
+
+
+# a triangle 0,1,2 with the pendant vertex 3 at 0: bridge (0,3), cut vertex 0
+PAW = new_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+
+# lemma id -> (pair, wrong resistance, relation the witness's lhs and rhs show)
+CORRUPTIONS = {
+    "triangle": ((1, 3), Fraction(9), operator.lt),        # R(1,0) + R(0,3) < R(1,3)
+    "foster": ((0, 1), Fraction(9), operator.ne),
+    "local_sum": ((0, 1), Fraction(9), operator.ne),
+    "degree_bound": ((1, 2), Fraction(1, 9), operator.lt),  # below 1/3 + 1/3
+    "rayleigh": ((1, 2), Fraction(9), operator.lt),         # deleting (0,1) lowers R(1,2)
+    "cycle_bound": ((1, 2), Fraction(1), operator.ge),
+    "cut_additivity": ((1, 3), Fraction(9), operator.ne),  # != R(1,0) + R(0,3)
+}
+
+
 class TestWitnessMachinery:
     def test_corrupted_engine_yields_actionable_witness(self):
         # feed the foster check a matrix with one wrong entry and confirm
         # the witness reproduces the violation against the independent
         # forest-count oracle
-        from fractions import Fraction
-
-        from resspec.lemmas import _foster_witness
-        from resspec.resistance import (
-            ResistanceMatrix,
-            resistance_by_forest_enumeration,
-            resistance_matrix,
-        )
+        from resspec.lemmas import _foster
+        from resspec.resistance import resistance_by_forest_enumeration, resistance_matrix
 
         g = cycle_graph(4)
-        rm = resistance_matrix(g)
-        rows = [list(row) for row in rm.rows]
-        rows[0][1] = rows[1][0] = Fraction(9)  # corrupt one pair
-        report = _foster_witness(g, ResistanceMatrix(4, tuple(map(tuple, rows))))
+        report = _foster(g, _with_entry(resistance_matrix(g), 0, 1, Fraction(9)),
+                         frozenset(), frozenset())
         assert report is not None and not report.passed
         w = report.witness
         assert w.lhs != w.rhs
         # the genuine value disagrees with the corrupted one
-        assert resistance_by_forest_enumeration(g, 0, 1) == Fraction(3, 4) != rows[0][1]
+        assert resistance_by_forest_enumeration(g, 0, 1) == Fraction(3, 4) != Fraction(9)
+
+    def test_table_covers_every_lemma(self):
+        assert set(CORRUPTIONS) == set(LEMMA_IDS) and len(LEMMA_IDS) == 7
+
+    @pytest.mark.parametrize("lemma", sorted(CORRUPTIONS))
+    def test_each_witness_catches_a_corrupted_matrix(self, lemma):
+        from resspec.lemmas import _WITNESSES, _context
+
+        rm, bridges, cuts = _context(PAW)
+        assert (bridges, cuts) == ({(0, 3)}, {0})
+        witness = _WITNESSES[lemma]
+        assert witness(PAW, rm, bridges, cuts) is None
+        (u, v), wrong, holds = CORRUPTIONS[lemma]
+        report = witness(PAW, _with_entry(rm, u, v, wrong), bridges, cuts)
+        assert report is not None and report.lemma_id == lemma and not report.passed
+        assert holds(report.witness.lhs, report.witness.rhs), report.witness
+
+    def test_sweep_counts_failures_per_lemma(self, monkeypatch):
+        from collections import Counter
+
+        from resspec import lemmas
+
+        monkeypatch.setattr(lemmas, "resistance_matrix",
+                            _corrupt_first_pair(lemmas.resistance_matrix))
+        summary = run_all_checks(4)
+        assert summary["failures_total"] == len(summary["failures"]) > 0
+        tagged = Counter(w["lemma"] for w in summary["failures"])
+        assert tagged == {lemma: c["failed"] for lemma, c in summary["checks"].items()
+                          if c["failed"]}
+        # every graph of order >= 2 breaks the local sum rule at (0, 1)
+        assert summary["checks"]["local_sum"] == {"passed": 1, "failed": 9}
+        for counts in summary["checks"].values():
+            assert counts["passed"] + counts["failed"] == summary["graphs_checked"]
+
+    def test_check_lemmas_exits_two_on_a_counterexample(self, monkeypatch, capsys):
+        from resspec import lemmas
+        from resspec.cli import main
+
+        monkeypatch.setattr(lemmas, "resistance_matrix",
+                            _corrupt_first_pair(lemmas.resistance_matrix))
+        code = main(["check-lemmas", "--max-n", "4"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert not lines[0].startswith("0 failures")
+        assert lines[1:] and all(ln.startswith("  counterexample: ") for ln in lines[1:])
 
 
 class TestSweep:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from resspec.enumeration import enumerate_connected
 from resspec.graphs import (
+    Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -159,6 +160,22 @@ class TestBareissVsCofactor:
     def test_adjugate_of_disconnected_laplacian_raises(self):
         with pytest.raises(DisconnectedError):
             reduced_adjugate(laplacian(new_graph(4, [(0, 1), (2, 3)])))
+
+    def test_adjugate_raises_exactly_on_disconnected_labelled_graphs_up_to_5(self):
+        # the engine is the only connectivity gate of resistance(), the matrix
+        # and the spectrum key, so it must refuse every disconnected graph
+        checked = 0
+        for n in range(1, 6):
+            for bits in range(1 << (n * (n - 1) // 2)):
+                g = Graph(n, bits)
+                try:
+                    reduced_adjugate(laplacian(g))
+                    raised = False
+                except DisconnectedError:
+                    raised = True
+                assert raised == (not is_connected(g)), g
+                checked += 1
+        assert checked == 1 + 2 + 8 + 64 + 1024
 
 
 class TestResistance:
