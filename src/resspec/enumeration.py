@@ -12,9 +12,11 @@ augmentation: every connected graph on k vertices is some connected graph
 on k-1 vertices plus one new vertex attached to a nonempty neighbor subset,
 and a child is kept only when the added vertex lands in the designated
 orbit (minimal refinement color, then minimal vertex-marked canonical code,
-among non-cut vertices). Isomorphic children of one parent (neighbor
-subsets in the same automorphism orbit) are deduplicated by canonical code;
-across parents the designated-orbit rule already guarantees uniqueness.
+among non-cut vertices). Isomorphic children of one parent come from
+neighbor subsets in one orbit of the parent's automorphism group, so only
+the first subset of each orbit is tried; a dict keyed by canonical code
+stays as the backstop. Across parents the designated-orbit rule already
+guarantees uniqueness.
 """
 
 from __future__ import annotations
@@ -58,13 +60,24 @@ def _degree_colors(n: int, masks: list[int]) -> list[int]:
 
 
 def _refine_colors(n: int, masks: list[int], colors: list[int]) -> list[int]:
-    """Equitable refinement; new color ids stay sorted by invariant signature."""
+    """Equitable refinement; new color ids stay sorted by invariant signature.
+
+    One bitmask per cell. A vertex's signature is its color followed by
+    minus its neighbor count in each cell. Precondition: vertices of one
+    color have one degree, which holds for _degree_colors and every
+    refinement of it. Then the signature sorts exactly like (color, sorted
+    neighbor colors), so the ids, and the codes built on them, are the ones
+    that ranking gives. Color ids may have gaps (a marked coloring can skip
+    one), so the cell list is sized by the largest id; a coloring no round
+    splits comes back unchanged, gaps included.
+    """
     ncolors = len(set(colors))
-    nbrs = [[w for w in range(n) if (m >> w) & 1] for m in masks]
     while ncolors < n:
-        sigs = []
-        for v in range(n):
-            sigs.append((colors[v], tuple(sorted(colors[w] for w in nbrs[v]))))
+        cells = [0] * (max(colors) + 1)
+        for v, c in enumerate(colors):
+            cells[c] |= 1 << v
+        counts = [[-(m & cell).bit_count() for m in masks] for cell in cells]
+        sigs = list(zip(colors, *counts))
         palette = sorted(set(sigs))
         if len(palette) == ncolors:
             break
@@ -103,6 +116,7 @@ class _CodeSearch:
         self.best: list[int] = [_INF] * n if bound is None else list(bound)
         self.best_placed: list[int] | None = None
         self.complete = bound is not None
+        self.bound_met = False
 
     def _node(self, level: int) -> None:
         n = self.n
@@ -110,7 +124,9 @@ class _CodeSearch:
             if not self.complete:
                 self.best_placed = self.placed.copy()
                 self.complete = True
-            elif self.best_placed is not None and self.placed != self.best_placed:
+            elif self.best_placed is None:
+                self.bound_met = True  # a leaf equal to the bound: see _min_labeling
+            elif self.placed != self.best_placed:
                 phi = [0] * n
                 for pos, v in enumerate(self.placed):
                     phi[self.best_placed[pos]] = v
@@ -162,6 +178,8 @@ class _CodeSearch:
             self._node(level + 1)
             placed.pop()
             self.unplaced.add(u)
+            if self.bound_met:
+                return
 
 
 def _forced_chunks(n: int, masks: list[int], colors: list[int]) -> tuple[list[int], list[int]]:
@@ -178,19 +196,30 @@ def _forced_chunks(n: int, masks: list[int], colors: list[int]) -> tuple[list[in
 
 def _min_labeling(
     n: int, masks: list[int], colors: list[int], bound: list[int] | None = None
-) -> tuple[list[int], list[int]] | None:
-    """Minimal chunks and the achieving position->vertex order.
+) -> tuple[list[int], list[int], list[tuple[int, ...]]] | None:
+    """Minimal chunks, the achieving position->vertex order, and the
+    automorphisms the search recorded.
+
+    Each recorded automorphism is genuine: two color-compatible orders with
+    the same code differ by one. They need not generate the whole group. A
+    discrete partition needs no search and records none.
 
     With a bound, None unless the minimal chunks are strictly below it.
+    Precondition: colors and the bound both come from single-vertex marks
+    (_marked_colors) of this graph on the same base colors, and the bound
+    is the minimum for its mark. A leaf equal to the bound is then an
+    automorphism taking this mark to that one, which carries one marked
+    refinement onto the other; so this minimum equals the bound, and the
+    search stops there.
     """
     if len(set(colors)) == n:
-        found = _forced_chunks(n, masks, colors)  # discrete partition, no search
-        return found if bound is None or found[0] < bound else None
+        chunks, placed = _forced_chunks(n, masks, colors)  # discrete partition, no search
+        return (chunks, placed, []) if bound is None or chunks < bound else None
     search = _CodeSearch(n, masks, colors, bound)
     search._node(0)
     if search.best_placed is None:
         return None
-    return search.best, search.best_placed
+    return search.best, search.best_placed, search.autos
 
 
 def _marked_colors(n: int, masks: list[int], base_colors: list[int], mark: int) -> list[int]:
@@ -205,7 +234,7 @@ def canonical_labeling(g: Graph) -> tuple[CanonicalCode, tuple[int, ...]]:
             f"canonical form supports order <= {MAX_CANONICAL_ORDER}, got {g.order}"
         )
     n, masks = g.order, list(g.adjacency_masks)
-    chunks, placed = _min_labeling(n, masks, _refine_colors(n, masks, _degree_colors(n, masks)))
+    chunks, placed, _ = _min_labeling(n, masks, _refine_colors(n, masks, _degree_colors(n, masks)))
     perm = [0] * n
     for pos, v in enumerate(placed):
         perm[v] = pos
@@ -231,18 +260,56 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # canonical augmentation
 
+def _subset_reps(m: int, masks: list[int]) -> list[int]:
+    """For each vertex subset s of an m-vertex graph, the smallest subset of
+    s's orbit under the automorphisms one search of the graph records."""
+    autos = _min_labeling(m, masks, _refine_colors(m, masks, _degree_colors(m, masks)))[2]
+    images = []  # per automorphism, the image of every subset
+    for a in autos:
+        image = [0]
+        for x in range(m):
+            bit = 1 << a[x]
+            image += [t | bit for t in image]
+        images.append(image)
+    reps = list(range(1 << m))
+    for s in range(1, 1 << m):
+        if reps[s] != s:
+            continue
+        stack = [s]  # s is the first of its orbit the scan reaches: label the rest
+        while stack:
+            t = stack.pop()
+            for image in images:
+                i = image[t]
+                if reps[i] == i and i != s:
+                    reps[i] = s
+                    stack.append(i)
+    return reps
+
+
 def _expand_parent(n: int, pbits: int) -> list[int]:
-    """Accepted children (canonical bits) of one (n-1)-vertex parent."""
+    """Accepted children (canonical bits) of one (n-1)-vertex parent.
+
+    Only the first subset of each orbit under the parent's recorded
+    automorphisms is tried. That is safe because each recorded automorphism
+    is genuine: it maps a skipped subset onto its representative, so the
+    two children are isomorphic by a map that fixes the new vertex. They
+    get the same verdict and the same canonical code, whether or not the
+    automorphisms generate the whole group. The dedup dict stays as the
+    backstop for isomorphic children the recorded automorphisms miss.
+    """
     v = n - 1
     full = (1 << n) - 1
     out: dict[int, None] = {}  # canonical bits of the accepted children, deduplicated
     pmasks = Graph(n - 1, pbits).adjacency_masks
+    reps = _subset_reps(n - 1, pmasks)
 
     def non_cut(masks: list[int], w: int) -> bool:
         rest = full ^ (1 << w)
         return _masks_reach(masks, rest) == rest
 
     for subset in range(1, 1 << (n - 1)):
+        if reps[subset] != subset:
+            continue
         masks = [
             pmasks[u] | (((subset >> u) & 1) << v) for u in range(n - 1)
         ]
@@ -272,14 +339,14 @@ def _expand_parent(n: int, pbits: int) -> list[int]:
         if any(base_colors[w] < cv for w in rivals):
             continue
         if rivals:
-            bound, _ = _min_labeling(n, masks, _marked_colors(n, masks, base_colors, v))
+            bound = _min_labeling(n, masks, _marked_colors(n, masks, base_colors, v))[0]
             if any(
                 _min_labeling(n, masks, _marked_colors(n, masks, base_colors, w), bound)
                 is not None
                 for w in rivals
             ):
                 continue
-        chunks, _ = _min_labeling(n, masks, base_colors)
+        chunks = _min_labeling(n, masks, base_colors)[0]
         out[_bits_from_chunks(chunks)] = None
     return list(out)
 

@@ -172,10 +172,14 @@ _WITNESSES = {
 LEMMA_IDS = tuple(_WITNESSES)
 
 
-def _context(g: Graph) -> tuple[ResistanceMatrix, frozenset, frozenset[int]]:
-    """Resistance matrix, bridges (two-vertex blocks, as sorted pairs) and cut vertices."""
+def _require_connected(g: Graph) -> None:
     if not is_connected(g):
         raise GraphError("check requires a connected graph")
+
+
+def _context(g: Graph) -> tuple[ResistanceMatrix, frozenset, frozenset[int]]:
+    """Resistance matrix, bridges (two-vertex blocks, as sorted pairs) and cut vertices."""
+    _require_connected(g)
     blocks, cuts = blocks_and_cut_vertices(g)
     bridges = frozenset(tuple(sorted(b)) for b in blocks if len(b) == 2)
     return resistance_matrix(g), bridges, cuts
@@ -217,16 +221,20 @@ def check_rayleigh(g: Graph, e: tuple[int, int]) -> CheckReport:
     A bridge makes the comparison vacuous (resistances become infinite);
     that case passes with an explanatory note instead of a witness.
     """
-    rm, bridges, _ = _context(g)
+    _require_connected(g)
     u, v = e
     if not g.has_edge(u, v):
         raise GraphError(f"({u},{v}) is not an edge")
-    if (min(u, v), max(u, v)) in bridges:
+    full = (1 << g.order) - 1
+    masks = list(g.adjacency_masks)
+    masks[u] ^= 1 << v
+    masks[v] ^= 1 << u
+    if _masks_reach(masks, full) != full:  # a bridge: no matrix needed
         return CheckReport(
             "rayleigh", True,
             note=f"edge ({u},{v}) is a bridge; deletion disconnects, comparison vacuous",
         )
-    return _rayleigh_at(g, rm, e) or CheckReport("rayleigh", True)
+    return _rayleigh_at(g, resistance_matrix(g), e) or CheckReport("rayleigh", True)
 
 
 def check_cycle_bound(g: Graph) -> CheckReport:

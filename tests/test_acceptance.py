@@ -24,6 +24,7 @@ from resspec.drs import (
 from resspec.enumeration import (
     canonical_form,
     canonical_graph,
+    connected_cache_path,
     connected_graphs,
 )
 from resspec.graphs import (
@@ -58,6 +59,9 @@ THREADS = min(2, os.cpu_count() or 1)
 
 # connected graph classes per order, published sequence
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117, 9: 261080}
+
+# sha256 of the `enumerate 9` stdout, which is also the payload connected-9.g6 hashes
+ENUMERATE_9_SHA256 = "3cdc62d49844b4cf749f00e74b7eab43825985e586939969b702ba416cb7fdd0"
 
 # collected by conftest's terminal-summary hook so the lines survive capture
 ACCEPTANCE_LINES: list[str] = []
@@ -285,6 +289,9 @@ def test_criterion_5_enumeration_counts(cache_dir):
     for n in (8, 9):
         generated = connected_graphs(n, cache_dir=cache_dir, threads=THREADS)
         assert len(generated) == CONNECTED_COUNTS[n]  # published-sequence cross-check
+    with open(connected_cache_path(cache_dir, 9), encoding="ascii") as fh:
+        trailer = fh.read().splitlines()[-1]
+    assert trailer == f"#sha256:{ENUMERATE_9_SHA256}"  # the n=9 classes, byte for byte
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0, f"budget 10min exceeded: {elapsed:.2f}s"
     _report(

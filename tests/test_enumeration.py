@@ -23,6 +23,7 @@ from resspec.enumeration import (
     _marked_colors,
     _min_labeling,
     _refine_colors,
+    _subset_reps,
     are_isomorphic,
     canonical_form,
     canonical_graph,
@@ -41,6 +42,24 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117, 9: 
 
 def relabeled(g, perm):
     return new_graph(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def signature_refinement(n, masks, colors):
+    """Reference refinement: ids rank the (color, sorted neighbor colors)
+    signatures, and _refine_colors must give the same ids."""
+    ncolors = len(set(colors))
+    nbrs = [[w for w in range(n) if (m >> w) & 1] for m in masks]
+    while ncolors < n:
+        sigs = []
+        for v in range(n):
+            sigs.append((colors[v], tuple(sorted(colors[w] for w in nbrs[v]))))
+        palette = sorted(set(sigs))
+        if len(palette) == ncolors:
+            break
+        remap = {s: i for i, s in enumerate(palette)}
+        colors = [remap[s] for s in sigs]
+        ncolors = len(palette)
+    return colors
 
 
 def brute_force_class_codes(n):
@@ -117,6 +136,55 @@ class TestMinLabelingBound:
                         assert (got is None) == (minimum >= bound)
                         assert got is None or got[0] == minimum
         assert discrete_seen == {True, False}  # the forced path and the search
+
+
+class TestRefinement:
+    def test_matches_the_signature_oracle_on_every_class_up_to_8(self):
+        gapped = 0  # non-discrete marked colorings whose ids skip a value
+        for n in range(1, 9):
+            for g in enumerate_connected(n):
+                masks = list(g.adjacency_masks)
+                degrees = _degree_colors(n, masks)
+                base = _refine_colors(n, masks, degrees)
+                assert base == signature_refinement(n, masks, degrees)
+                for mark in range(n):
+                    start = [0 if v == mark else base[v] + 1 for v in range(n)]
+                    got = _marked_colors(n, masks, base, mark)
+                    assert got == signature_refinement(n, masks, start)
+                    gapped += max(start) >= len(set(start)) and len(set(start)) < n
+        assert gapped
+
+    def test_matches_the_signature_oracle_on_random_graphs_up_to_16(self):
+        rng = random.Random(16)
+        for _ in range(400):
+            n = rng.randint(1, 16)
+            p = rng.choice((0.15, 0.3, 0.5, 0.8))
+            g = new_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            masks = list(g.adjacency_masks)
+            degrees = _degree_colors(n, masks)
+            assert _refine_colors(n, masks, degrees) == signature_refinement(n, masks, degrees)
+
+
+class TestOrbitPruning:
+    def test_skipped_subsets_give_their_representatives_child(self):
+        # a skipped subset's child must be isomorphic to the child of the
+        # subset _expand_parent tries in its place
+        skipped = 0
+        for m in range(1, 8):
+            for parent in enumerate_connected(m):
+                reps = _subset_reps(m, list(parent.adjacency_masks))
+                edges = list(parent.edges())
+
+                def child(s):
+                    return new_graph(m + 1, edges + [(x, m) for x in range(m) if (s >> x) & 1])
+
+                for s in range(1, 1 << m):
+                    r = reps[s]
+                    assert r <= s and reps[r] == r
+                    if r != s:
+                        skipped += 1
+                        assert canonical_form(child(s)) == canonical_form(child(r))
+        assert skipped
 
 
 class TestIsomorphism:

@@ -103,6 +103,22 @@ class TestRayleigh:
         with pytest.raises(Exception, match="not an edge"):
             check_rayleigh(path_graph(3), (0, 2))
 
+    def test_disconnected_rejected_before_the_edge_test(self):
+        with pytest.raises(Exception, match="connected"):
+            check_rayleigh(new_graph(4, [(0, 1)]), (2, 3))
+
+    def test_bridge_passes_without_a_resistance_matrix(self, monkeypatch):
+        from resspec import lemmas
+
+        def no_matrix(g):
+            raise AssertionError("resistance matrix built for a bridge")
+
+        monkeypatch.setattr(lemmas, "resistance_matrix", no_matrix)
+        report = check_rayleigh(path_graph(4), (0, 1))
+        assert report.passed and "bridge" in report.note
+        with pytest.raises(AssertionError):
+            check_rayleigh(cycle_graph(4), (0, 1))  # not a bridge: the matrix is needed
+
 
 class TestCycleBound:
     def test_c4(self):
