@@ -374,7 +374,7 @@ def enumerate_connected(n: int, *, threads: int = 1, allow_ten: bool = False):
     if not 1 <= n <= limit:
         raise GraphError(
             f"enumeration supports 1 <= n <= {limit}"
-            + ("" if allow_ten else " (pass allow_ten=True for n=10)")
+            + ("" if allow_ten else " (n=10 needs allow_ten=True, or --allow-ten in the CLI)")
             + f", got {n}"
         )
     for bits in _connected_level_bits(n, threads):

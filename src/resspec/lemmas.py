@@ -1,9 +1,11 @@
 """Resistance identities and inequalities as executable checks.
 
 Every check either passes or hands back a concrete witness (graph, vertex
-tuple, both sides of the failed comparison). All comparisons are exact;
-on correct code every check passes on every connected graph, so a witness
-is always an actionable bug report, never noise.
+tuple, both sides of the failed comparison). All comparisons are exact:
+they run on the integer resistance numerators of a ResistanceMatrix over
+its one shared denominator, and only a witness holds Fractions. On correct
+code every check passes on every connected graph, so a witness is always
+an actionable bug report, never noise.
 """
 
 from __future__ import annotations
@@ -64,31 +66,34 @@ def _first(reports) -> CheckReport | None:
 
 
 # Every witness takes (g, rm, bridges, cuts) from _context and returns the
-# first violation it finds, or None.
+# first violation it finds, or None. It compares the integer numerators
+# N = rm.nums over the shared denominator rm.det > 0 (each side scaled by
+# det) and builds Fractions only for the witness it returns.
 
 def _triangle(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckReport | None:
+    N = rm.nums
     for u, v, w in permutations(range(g.order), 3):
-        lhs = rm.value(u, v) + rm.value(v, w)
-        rhs = rm.value(u, w)
-        if lhs < rhs:
-            return _fail("triangle", g, (u, v, w), lhs, rhs)
+        lhs = N[u][v] + N[v][w]
+        if lhs < N[u][w]:
+            return _fail("triangle", g, (u, v, w),
+                         Fraction(lhs, rm.det), Fraction(N[u][w], rm.det))
     return None
 
 
 def _foster(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckReport | None:
-    total = sum((rm.value(u, v) for u, v in g.edges()), Fraction(0))
-    want = Fraction(g.order - 1)
-    if total != want:
-        return _fail("foster", g, (), total, want)
+    total = sum(rm.nums[u][v] for u, v in g.edges())
+    if total != (g.order - 1) * rm.det:
+        return _fail("foster", g, (), Fraction(total, rm.det), Fraction(g.order - 1))
     return None
 
 
 def _local_sum_at(g: Graph, rm: ResistanceMatrix, u: int, v: int) -> CheckReport | None:
-    lhs = g.degree(u) * rm.value(u, v)
+    N = rm.nums
+    lhs = g.degree(u) * N[u][v]
     for z in g.neighbor_lists[u]:
-        lhs += rm.value(z, u) - rm.value(z, v)
-    if lhs != 2:
-        return _fail("local_sum", g, (u, v), lhs, Fraction(2))
+        lhs += N[z][u] - N[z][v]
+    if lhs != 2 * rm.det:
+        return _fail("local_sum", g, (u, v), Fraction(lhs, rm.det), Fraction(2))
     return None
 
 
@@ -99,23 +104,24 @@ def _local_sum(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckReport | N
 def _degree_bound(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckReport | None:
     masks = g.adjacency_masks
     for u, v in combinations(range(g.order), 2):
-        r = rm.value(u, v)
-        bound = Fraction(1, g.degree(u) + 1) + Fraction(1, g.degree(v) + 1)
-        if r < bound:
-            return _fail("degree_bound", g, (u, v), r, bound)
+        # R = N/det against 1/a + 1/b = (a+b)/(ab), where a, b are the degrees plus one
+        a, b = g.degree(u) + 1, g.degree(v) + 1
+        lhs, rhs = rm.nums[u][v] * a * b, rm.det * (a + b)
         # equality holds iff uv is an edge and u, v have the same other neighbors
         twins = g.has_edge(u, v) and (
             masks[u] & ~(1 << v) == masks[v] & ~(1 << u)
         )
-        if (r == bound) != twins:
-            return _fail("degree_bound", g, (u, v), r, bound)
+        if lhs < rhs or (lhs == rhs) != twins:
+            return _fail("degree_bound", g, (u, v),
+                         rm.value(u, v), Fraction(a + b, a * b))
     return None
 
 
 def _rayleigh_at(g: Graph, rm: ResistanceMatrix, e: tuple[int, int]) -> CheckReport | None:
+    # an independent adjugate of G - e, never a rank-one update of rm
     rm2 = resistance_matrix(delete_edge(g, *e))
     for x, y in combinations(range(g.order), 2):
-        if rm2.value(x, y) < rm.value(x, y):
+        if rm2.nums[x][y] * rm.det < rm.nums[x][y] * rm2.det:
             return _fail("rayleigh", g, (x, y), rm2.value(x, y), rm.value(x, y))
     return None
 
@@ -125,10 +131,9 @@ def _rayleigh(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckReport | No
 
 
 def _cycle_bound(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckReport | None:
-    one = Fraction(1)
     for u, v in g.edges():
-        if (u, v) not in bridges and rm.value(u, v) >= one:
-            return _fail("cycle_bound", g, (u, v), rm.value(u, v), one)
+        if (u, v) not in bridges and rm.nums[u][v] >= rm.det:
+            return _fail("cycle_bound", g, (u, v), rm.value(u, v), Fraction(1))
     return None
 
 
@@ -153,10 +158,10 @@ def _cut_additivity(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckRepor
         for u, v in combinations(range(g.order), 2):
             if u == w or v == w or comp[u] == comp[v]:
                 continue
-            lhs = rm.value(u, v)
-            rhs = rm.value(u, w) + rm.value(w, v)
-            if lhs != rhs:
-                return _fail("cut_additivity", g, (u, w, v), lhs, rhs)
+            rhs = rm.nums[u][w] + rm.nums[w][v]
+            if rm.nums[u][v] != rhs:
+                return _fail("cut_additivity", g, (u, w, v),
+                             rm.value(u, v), Fraction(rhs, rm.det))
     return None
 
 

@@ -4,14 +4,17 @@ All values are exact rationals (fractions.Fraction). The one exact engine is
 reduced_adjugate: fraction-free Bareiss elimination over Python integers of
 the Laplacian minor without the last vertex. Every resistance, single pair
 or all pairs, unit or weighted, and the spanning-tree count are read from
-its adjugate and determinant. The spectrum key (spectrum_json) stays in
-integers until it is text: all pairs share the determinant as denominator.
+its adjugate and determinant. All pairs of a graph share the determinant
+as denominator, so the spectrum key (spectrum_json) stays in integers
+until it is text, and ResistanceMatrix holds the integer numerators that
+the lemma checks compare; Fractions are built only when asked for.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -161,23 +164,36 @@ def resistance(g: Graph, u: int, v: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ResistanceMatrix:
-    """Symmetric all-pairs resistance table with zero diagonal."""
+    """Symmetric all-pairs resistance table with zero diagonal.
+
+    Every entry shares the denominator det > 0: R(u, v) = nums[u][v] / det.
+    Exact comparisons stay in integers (scale both sides by det); rows,
+    value and pairs give the Fractions.
+    """
 
     order: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    nums: tuple[tuple[int, ...], ...]
+    det: int
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.det) for x in row) for row in self.nums)
 
     def value(self, u: int, v: int) -> Fraction:
-        return self.rows[u][v]
+        return Fraction(self.nums[u][v], self.det)
 
     def pairs(self):
         for u, v in combinations(range(self.order), 2):
-            yield u, v, self.rows[u][v]
+            yield u, v, self.value(u, v)
 
 
 def resistance_matrix(g: Graph) -> ResistanceMatrix:
-    """All-pairs resistances sharing one adjugate/determinant computation."""
-    rows = resistance_rows(laplacian(g))
-    return ResistanceMatrix(g.order, tuple(tuple(row) for row in rows))
+    """All-pairs resistance numerators over one adjugate and its determinant."""
+    adj, det = reduced_adjugate(laplacian(g))
+    nums = [[0] * g.order for _ in range(g.order)]
+    for u, v in combinations(range(g.order), 2):
+        nums[u][v] = nums[v][u] = resistance_numerator(adj, u, v)
+    return ResistanceMatrix(g.order, tuple(map(tuple, nums)), det)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ tables) are cached in a session-scoped directory so later criteria reuse
 what earlier ones computed.
 """
 
+import hashlib
 import os
 import random
 import subprocess
@@ -373,7 +374,7 @@ def test_criterion_9_worker_count_determinism(tmp_path):
         ["enumerate", "7"],
         ["verify-drs", "--all", "--max-n", "7", "--output", "json"],
         ["collisions", "7", "--output", "json"],
-        ["check-lemmas", "--max-n", "5", "--output", "json"],
+        ["check-lemmas", "--max-n", "7", "--output", "json"],
     ]
     env = dict(os.environ)
     env.pop("RESIST_CACHE_DIR", None)
@@ -386,5 +387,9 @@ def test_criterion_9_worker_count_determinism(tmp_path):
             )
             runs.append(proc.stdout)
         assert runs[0] == runs[1], f"output differs across worker counts: {case}"
+        if case[0] == "check-lemmas":  # the lemma sweep's bytes are pinned, not just stable
+            assert hashlib.sha256(runs[0]).hexdigest() == (
+                "6f86235f5aab27b80ac0cebfdc73588226f8da03db09da855b086f233b0f3692"
+            )
     elapsed = time.perf_counter() - t0
     _report(9, "byte-identical reports with 1 and 2 workers", elapsed)

@@ -164,6 +164,12 @@ class TestEnumerateCommand:
         code, _, err = run_cli(capsys, "enumerate", "10")
         assert code == 1 and "allow_ten" in err
 
+    @pytest.mark.parametrize("command", ["enumerate", "collisions"])
+    def test_guard_names_the_cli_flag(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "10")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "--allow-ten" in err
+
     def test_cache_dir_alone_writes_the_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("RESIST_CACHE_DIR", raising=False)
         code, out, _ = run_cli(capsys, "enumerate", "4", "--cache-dir", str(tmp_path))

@@ -173,12 +173,15 @@ class TestReportShape:
 
 
 def _with_entry(rm, u, v, value):
-    """rm with R(u, v) = R(v, u) = value."""
+    """rm with R(u, v) = R(v, u) = value, over the denominator lcm(det, value's)."""
+    from math import lcm
+
     from resspec.resistance import ResistanceMatrix
 
-    rows = [list(row) for row in rm.rows]
-    rows[u][v] = rows[v][u] = value
-    return ResistanceMatrix(rm.order, tuple(map(tuple, rows)))
+    det = lcm(rm.det, value.denominator)
+    nums = [[x * (det // rm.det) for x in row] for row in rm.nums]
+    nums[u][v] = nums[v][u] = value.numerator * (det // value.denominator)
+    return ResistanceMatrix(rm.order, tuple(map(tuple, nums)), det)
 
 
 def _corrupt_first_pair(real):
@@ -254,6 +257,20 @@ class TestWitnessMachinery:
         for counts in summary["checks"].values():
             assert counts["passed"] + counts["failed"] == summary["graphs_checked"]
 
+    def test_witnesses_match_the_fraction_comparisons(self, monkeypatch):
+        # these bytes came from comparing Fractions; the integer comparisons
+        # must report the same vertex tuples, lhs and rhs on every failure
+        import hashlib
+
+        from resspec import lemmas
+
+        monkeypatch.setattr(lemmas, "resistance_matrix",
+                            _corrupt_first_pair(lemmas.resistance_matrix))
+        text = summary_to_json(run_all_checks(6))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a700fdefb7370be51c6a167bbb725a7f9153a4e66269bd50d2a086d0fb54e74e"
+        )
+
     def test_check_lemmas_exits_two_on_a_counterexample(self, monkeypatch, capsys):
         from resspec import lemmas
         from resspec.cli import main
@@ -268,6 +285,22 @@ class TestWitnessMachinery:
 
 
 class TestSweep:
+    def test_passing_checks_build_no_fraction(self, monkeypatch):
+        from resspec import lemmas
+        from resspec.enumeration import enumerate_connected
+        from resspec.resistance import ResistanceMatrix
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a Fraction was built on a passing check")
+
+        monkeypatch.setattr(ResistanceMatrix, "rows", property(boom))
+        monkeypatch.setattr(ResistanceMatrix, "value", boom)
+        monkeypatch.setattr(ResistanceMatrix, "pairs", boom)
+        monkeypatch.setattr(lemmas, "Fraction", boom)
+        for n in range(1, 7):
+            for g in enumerate_connected(n):
+                assert lemmas._sweep_graph(g) == []
+
     def test_vacuous_single_vertex(self):
         summary = run_all_checks(1)
         assert summary["failures_total"] == 0 and summary["graphs_checked"] == 1

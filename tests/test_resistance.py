@@ -29,6 +29,7 @@ from resspec.resistance import (
     resistance_by_forest_enumeration,
     resistance_diameter,
     resistance_matrix,
+    resistance_rows,
     resistance_spectrum,
     spanning_tree_count,
     spanning_tree_count_by_enumeration,
@@ -254,6 +255,19 @@ class TestResistanceMatrix:
     def test_disconnected(self):
         with pytest.raises(DisconnectedError):
             resistance_matrix(new_graph(2, []))
+
+    def test_rows_are_the_resistance_rows_exhaustive_up_to_seven(self):
+        for n in range(1, 8):
+            for g in enumerate_connected(n):
+                rm = resistance_matrix(g)
+                assert rm.rows == tuple(map(tuple, resistance_rows(laplacian(g))))
+                assert rm.det == spanning_tree_count(g)
+
+    def test_numerators_share_the_spanning_tree_count(self):
+        rm = resistance_matrix(cycle_graph(4))
+        assert rm.det == 4 and rm.nums[0][1] == 3 and rm.nums[0][2] == 4
+        assert [r for _, _, r in rm.pairs()] == [rm.value(u, v) for u, v in
+                                                 itertools.combinations(range(4), 2)]
 
 
 class TestSpectrum:
