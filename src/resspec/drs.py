@@ -59,26 +59,18 @@ def classify_kmn(m: int, n: int) -> str:
 
 
 def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
-    """Part sizes (small, large), both >= 1, when g is complete bipartite, else None."""
-    if not is_connected(g):
+    """Part sizes (small, large), both >= 1, when g is complete bipartite, else None.
+
+    B is vertex 0's neighbours and A the rest, 0 included. g is K_{|A|,|B|}
+    exactly when B is nonempty and every vertex is adjacent to exactly the
+    other side; that also makes g connected.
+    """
+    b = g.adjacency_masks[0]
+    a = ((1 << g.order) - 1) ^ b
+    if not b or any(m != (b if (a >> v) & 1 else a) for v, m in enumerate(g.adjacency_masks)):
         return None
-    n = g.order
-    side = [-1] * n
-    side[0] = 0
-    queue = [0]
-    while queue:
-        x = queue.pop()
-        for y in g.neighbor_lists[x]:
-            if side[y] < 0:
-                side[y] = 1 - side[x]
-                queue.append(y)
-            elif side[y] == side[x]:
-                return None
-    part0 = [v for v in range(n) if side[v] == 0]
-    part1 = [v for v in range(n) if side[v] == 1]
-    if not part1 or g.size != len(part0) * len(part1):
-        return None
-    return min(len(part0), len(part1)), max(len(part0), len(part1))
+    sizes = a.bit_count(), b.bit_count()
+    return min(sizes), max(sizes)
 
 
 @dataclass(frozen=True)

@@ -57,16 +57,16 @@ class Graph:
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
         """Per-vertex neighbor bitmasks (bit v of masks[u] set iff u~v)."""
-        n = self.order
+        n, bits = self.order, self.bits
         masks = [0] * n
-        bits = self.bits
-        idx = 0
         for j in range(1, n):
-            for i in range(j):
-                if (bits >> idx) & 1:
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
-                idx += 1
+            # column j of the packed triangle: j's neighbours below j
+            low = (bits >> (j * (j - 1) // 2)) & ((1 << j) - 1)
+            masks[j] = low
+            while low:
+                b = low & -low
+                masks[b.bit_length() - 1] |= 1 << j
+                low ^= b
         return tuple(masks)
 
     @cached_property
@@ -79,7 +79,7 @@ class Graph:
     @property
     def size(self) -> int:
         """Number of edges."""
-        return bin(self.bits).count("1")
+        return self.bits.bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -90,7 +90,7 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return bin(self.adjacency_masks[v]).count("1")
+        return self.adjacency_masks[v].bit_count()
 
     def neighbors(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
@@ -99,13 +99,12 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in packed bit order."""
         out = []
-        bits = self.bits
-        idx = 0
-        for j in range(1, self.order):
-            for i in range(j):
-                if (bits >> idx) & 1:
-                    out.append((i, j))
-                idx += 1
+        for j, m in enumerate(self.adjacency_masks):
+            low = m & ((1 << j) - 1)
+            while low:
+                b = low & -low
+                out.append((b.bit_length() - 1, j))
+                low ^= b
         return out
 
     def degree_sequence(self) -> tuple[int, ...]:
@@ -188,6 +187,15 @@ def find(parent: list[int], x: int) -> int:
     return x
 
 
+def _components(masks, within: int) -> list[int]:
+    """Connected components of the bitmask `within`, as bitmasks, lowest vertex first."""
+    out = []
+    while within:
+        out.append(_masks_reach(masks, within))
+        within ^= out[-1]
+    return out
+
+
 def blocks_and_cut_vertices(g: Graph) -> tuple[list[frozenset[int]], frozenset[int]]:
     """Block decomposition of a connected graph.
 
@@ -195,78 +203,36 @@ def blocks_and_cut_vertices(g: Graph) -> tuple[list[frozenset[int]], frozenset[i
     maximal subgraph without a cut vertex; every edge belongs to exactly one
     block, and a vertex is a cut vertex iff it lies in at least two blocks.
     An isolated vertex (order 1) forms the single block {0}.
+
+    A worklist of connected pieces, each a union of blocks: a piece splits at
+    its first vertex w whose removal disconnects it, into C + w for each
+    component C of piece - w, and a piece no vertex splits is a block. A
+    vertex that does not split a piece lies in one of its blocks, and so
+    does w in each child, so children are scanned only past w.
     """
     if not is_connected(g):
         raise GraphError("block decomposition requires a connected graph")
-    n = g.order
-    if n == 1:
-        return [frozenset({0})], frozenset()
-
-    adj = g.neighbor_lists
-    disc = [0] * n          # 0 means unvisited; discovery times start at 1
-    low = [0] * n
+    masks = g.adjacency_masks
     blocks: list[frozenset[int]] = []
     cuts: set[int] = set()
-    edge_stack: list[tuple[int, int]] = []
-    timer = 1
-
-    # iterative Hopcroft-Tarjan; stack entries are (v, parent, neighbor index)
-    disc[0] = low[0] = timer
-    timer += 1
-    stack = [(0, -1, 0)]
-    root_children = 0
-    while stack:
-        v, parent, i = stack.pop()
-        advanced = False
-        while i < len(adj[v]):
-            w = adj[v][i]
-            i += 1
-            if w == parent:
-                continue
-            if disc[w] == 0:
-                if v == 0:
-                    root_children += 1
-                edge_stack.append((v, w))
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((v, parent, i))
-                stack.append((w, v, 0))
-                advanced = True
+    pieces = [((1 << g.order) - 1, 0)]
+    while pieces:
+        piece, start = pieces.pop()
+        for w in range(start, g.order):
+            rest = piece ^ (1 << w)
+            if rest < piece and _masks_reach(masks, rest) != rest:  # w splits the piece
+                cuts.add(w)
+                pieces.extend((c | (1 << w), w + 1) for c in _components(masks, rest))
                 break
-            if disc[w] < disc[v]:
-                edge_stack.append((v, w))
-                low[v] = min(low[v], disc[w])
-        if advanced:
-            continue
-        if parent != -1:
-            # v is fully explored; fold into parent
-            if low[v] >= disc[parent]:
-                members: set[int] = set()
-                while True:
-                    a, b = edge_stack.pop()
-                    members.add(a)
-                    members.add(b)
-                    if (a, b) == (parent, v):
-                        break
-                blocks.append(frozenset(members))
-                if parent != 0:
-                    cuts.add(parent)
-            low[parent] = min(low[parent], low[v])
-    if root_children >= 2:
-        cuts.add(0)
+        else:
+            blocks.append(frozenset(v for v in range(g.order) if (piece >> v) & 1))
     return blocks, frozenset(cuts)
 
 
 def bridges(g: Graph) -> list[tuple[int, int]]:
     """Edges whose removal disconnects the graph (= two-vertex blocks)."""
     blocks, _ = blocks_and_cut_vertices(g)
-    out = []
-    for blk in blocks:
-        if len(blk) == 2:
-            u, v = sorted(blk)
-            if g.has_edge(u, v):
-                out.append((u, v))
-    return sorted(out)
+    return sorted(tuple(sorted(blk)) for blk in blocks if len(blk) == 2)
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:

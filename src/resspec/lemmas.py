@@ -18,6 +18,7 @@ from itertools import combinations, permutations
 from .graphs import (
     Graph,
     GraphError,
+    _components,
     _masks_reach,
     blocks_and_cut_vertices,
     delete_edge,
@@ -137,26 +138,12 @@ def _cycle_bound(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckReport |
     return None
 
 
-def _components_without(g: Graph, w: int) -> list[int]:
-    """Component id per vertex after removing w (w itself gets -1)."""
-    comp = [-1] * g.order
-    rest = ((1 << g.order) - 1) ^ (1 << w)
-    cid = 0
-    while rest:
-        reach = _masks_reach(g.adjacency_masks, rest)
-        rest ^= reach
-        for y in range(g.order):
-            if (reach >> y) & 1:
-                comp[y] = cid
-        cid += 1
-    return comp
-
-
 def _cut_additivity(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckReport | None:
     for w in sorted(cuts):
-        comp = _components_without(g, w)
+        comps = _components(g.adjacency_masks, ((1 << g.order) - 1) ^ (1 << w))  # of G - w
         for u, v in combinations(range(g.order), 2):
-            if u == w or v == w or comp[u] == comp[v]:
+            pair = (1 << u) | (1 << v)
+            if (pair >> w) & 1 or any(c & pair == pair for c in comps):
                 continue
             rhs = rm.nums[u][w] + rm.nums[w][v]
             if rm.nums[u][v] != rhs:

@@ -30,7 +30,7 @@ from resspec.graphs import (
     new_graph,
     path_graph,
 )
-from resspec.enumeration import canonical_graph
+from resspec.enumeration import canonical_graph, connected_graphs
 from resspec.graphs import parse_graph6, to_graph6
 from resspec.resistance import resistance_spectrum, spectrum_json
 
@@ -80,6 +80,20 @@ class TestCompleteBipartiteDetection:
         assert complete_bipartite_parts(complete_graph(3)) is None  # odd cycle
         assert complete_bipartite_parts(new_graph(3, [(0, 1)])) is None  # disconnected
         assert complete_bipartite_parts(new_graph(1, [])) is None  # K_1: one part empty
+
+    def test_every_class_up_to_eight(self, cache_dir):
+        # enumerated classes are canonical, so the Graphs compare directly
+        kmn = {
+            canonical_graph(complete_bipartite(a, n - a)): (a, n - a)
+            for n in range(2, 9) for a in range(1, n // 2 + 1)
+        }
+        assert len(kmn) == 16
+        found = 0
+        for n in range(1, 9):
+            for g in connected_graphs(n, cache_dir=cache_dir):
+                assert complete_bipartite_parts(g) == kmn.get(g)
+                found += g in kmn
+        assert found == 16
 
 
 class TestIndex:

@@ -20,6 +20,7 @@ from resspec.graphs import (
     delete_vertices,
     is_connected,
     new_graph,
+    pair_index,
     parse_graph6,
     path_graph,
     to_graph6,
@@ -112,6 +113,34 @@ class TestQueries:
     def test_degree_sum_is_twice_edges(self, g):
         assert sum(g.degree(v) for v in range(g.order)) == 2 * g.size
 
+    @given(graphs_strategy(max_n=12))
+    def test_masks_and_edges_agree_with_the_packed_bits(self, g):
+        n = g.order
+        for u in range(n):
+            assert g.adjacency_masks[u] == sum(1 << v for v in range(n) if g.has_edge(u, v))
+        packed = [(i, j) for i, j in itertools.combinations(range(n), 2) if g.has_edge(i, j)]
+        assert g.edges() == sorted(packed, key=lambda e: pair_index(*e))
+
+
+def _blocks_by_definition(g):
+    """Maximal vertex sets S, |S| >= 2 (or K_1's one vertex), such that G[S] is
+    connected and no vertex of S disconnects it, by brute force over subsets."""
+    masks = g.adjacency_masks
+
+    def connected(s):
+        return _masks_reach(masks, s) == s
+
+    good = [
+        s for s in range(1, 1 << g.order)
+        if (s & (s - 1) or g.order == 1) and connected(s)
+        and all(connected(s ^ (1 << v)) for v in range(g.order) if (s >> v) & 1)
+    ]
+    maximal = []
+    for s in sorted(good, key=int.bit_count, reverse=True):
+        if not any(s & t == s for t in maximal):
+            maximal.append(s)
+    return sorted(sorted(v for v in range(g.order) if (s >> v) & 1) for s in maximal)
+
 
 class TestBlocks:
     def test_path(self):
@@ -161,6 +190,21 @@ class TestBlocks:
                     survives, _ = delete_vertices(g, [v])
                     assert is_connected(survives) == (v not in cuts)
                     assert (block_count[v] >= 2) == (v in cuts)
+
+    def test_blocks_are_the_maximal_sets_without_a_cut_vertex(self):
+        from resspec.enumeration import enumerate_connected
+
+        for n in range(1, 8):
+            for g in enumerate_connected(n):
+                blocks, cuts = blocks_and_cut_vertices(g)
+                expected = _blocks_by_definition(g)
+                assert sorted(map(sorted, blocks)) == expected
+                assert cuts == {v for v in range(n) if sum(v in b for b in expected) >= 2}
+
+    def test_long_path_splits_into_its_edges(self):
+        blocks, cuts = blocks_and_cut_vertices(path_graph(1000))
+        assert sorted(map(sorted, blocks)) == [[i, i + 1] for i in range(999)]
+        assert cuts == set(range(1, 999))
 
     def test_masks_reach_misses_part_of_the_rest_exactly_at_cut_vertices(self):
         from resspec.enumeration import enumerate_connected
