@@ -3,9 +3,13 @@
 The canonical code of a graph is the lexicographically smallest packed
 upper-triangle bitstring over all vertex orderings compatible with an
 equitable color refinement (cells in invariant order), found by a pruned
-backtracking search. Discovered automorphisms prune same-orbit branches,
-which keeps highly symmetric graphs (complete, complete multipartite)
-tractable.
+backtracking search. Known automorphisms prune same-orbit branches
+(McKay & Piperno, Practical graph isomorphism II, 2014). Transpositions of
+same-colored twins, vertices with the same neighbors apart from each other,
+are known before the search. When every cell is a twin class, as in
+complete and complete bipartite graphs with unequal parts, they generate
+every permutation within the cells. Every color-compatible order then
+gives one code, and the search is skipped (proof at _min_labeling).
 
 Connected graphs are generated one isomorphism class at a time by canonical
 augmentation: every connected graph on k vertices is some connected graph
@@ -26,7 +30,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 
-from .graphs import Graph, GraphError, _masks_reach, find, parse_graph6, sha256_hex, to_graph6
+from .graphs import Graph, GraphError, _components, find, parse_graph6, sha256_hex, to_graph6
 from .parallel import ordered_map
 
 MAX_CANONICAL_ORDER = 16
@@ -59,7 +63,9 @@ def _degree_colors(n: int, masks: list[int]) -> list[int]:
     return [rank[d] for d in degs]
 
 
-def _refine_colors(n: int, masks: list[int], colors: list[int]) -> list[int]:
+def _refine_colors(
+    n: int, masks: list[int], colors: list[int], splitters: list[int] | None = None
+) -> list[int]:
     """Equitable refinement; new color ids stay sorted by invariant signature.
 
     One bitmask per cell. A vertex's signature is its color followed by
@@ -70,13 +76,26 @@ def _refine_colors(n: int, masks: list[int], colors: list[int]) -> list[int]:
     that ranking gives. Color ids may have gaps (a marked coloring can skip
     one), so the cell list is sized by the largest id; a coloring no round
     splits comes back unchanged, gaps included.
+
+    A column that, within each color, is a function of the columns before
+    it never decides between two signatures, so dropping it leaves the
+    sorted ids as they were. After a round, counts into each old cell are
+    constant on every new cell. So a round counts only against the pieces
+    of the cells the previous round split, each but its last: an unsplit
+    cell's counts are constant, and the last piece's are the old cell's
+    minus those of the pieces before it. The first round counts against
+    `splitters`, cell bitmasks in color order, and the caller vouches that
+    the other columns can be dropped. By default they are every cell but
+    the last, whose counts are the degree minus the others'.
     """
     ncolors = len(set(colors))
-    while ncolors < n:
+    if splitters is None:
         cells = [0] * (max(colors) + 1)
         for v, c in enumerate(colors):
             cells[c] |= 1 << v
-        counts = [[-(m & cell).bit_count() for m in masks] for cell in cells]
+        splitters = cells[:-1]
+    while ncolors < n:
+        counts = [[-(m & cell).bit_count() for m in masks] for cell in splitters]
         sigs = list(zip(colors, *counts))
         palette = sorted(set(sigs))
         if len(palette) == ncolors:
@@ -84,33 +103,34 @@ def _refine_colors(n: int, masks: list[int], colors: list[int]) -> list[int]:
         remap = {s: i for i, s in enumerate(palette)}
         colors = [remap[s] for s in sigs]
         ncolors = len(palette)
+        cells = [0] * ncolors
+        for v, c in enumerate(colors):
+            cells[c] |= 1 << v
+        splitters = [cells[i] for i in range(ncolors - 1) if palette[i][0] == palette[i + 1][0]]
     return colors
 
 
 def _bits_from_chunks(chunks: list[int]) -> int:
-    # level k holds k bits; bit (i, k) of the triangle is chunk bit k-1-i
-    bits = 0
-    idx = 0
-    for k, c in enumerate(chunks):
-        for i in range(k):
-            bits |= ((c >> (k - 1 - i)) & 1) << (idx + i)
-        idx += k
-    return bits
+    # level k holds k bits; bit (i, k) of the triangle is chunk bit k-1-i,
+    # so the chunks' k-digit binary strings, joined, list the triangle's
+    # bits in index order
+    digits = "".join([bin(c | (1 << k))[3:] for k, c in enumerate(chunks)])
+    return int(digits[::-1], 2) if digits else 0
 
 
 class _CodeSearch:
     """Backtracking minimizer for the color-constrained adjacency bitstring."""
 
     def __init__(self, n: int, masks: list[int], colors: list[int],
-                 bound: list[int] | None = None):
+                 bound: list[int] | None = None, autos: list[tuple[int, ...]] = ()):
         self.n = n
         self.masks = masks
         self.colors = colors
         self.slot_color = sorted(colors)
         self.placed: list[int] = []
         self.unplaced = set(range(n))
-        self.autos: list[tuple[int, ...]] = []
-        self._auto_set: set[tuple[int, ...]] = set()
+        self.autos: list[tuple[int, ...]] = list(autos)  # genuine, known in advance
+        self._auto_set: set[tuple[int, ...]] = set(autos)
         # a bound acts as an already-complete best: only codes strictly
         # below it ever record best_placed
         self.best: list[int] = [_INF] * n if bound is None else list(bound)
@@ -194,15 +214,54 @@ def _forced_chunks(n: int, masks: list[int], colors: list[int]) -> tuple[list[in
     return chunks, placed
 
 
+def _twin_autos(n: int, masks: list[int], colors: list[int]) -> list[tuple[int, ...]]:
+    """Transpositions of same-colored twins: vertices u, v with
+    masks[u] & ~(1 << v) == masks[v] & ~(1 << u).
+
+    Twins form an equivalence relation (an adjacent twin pair and a
+    non-adjacent one cannot share a vertex), so it suffices to swap each
+    member of a twin class with the member before it. The chain generates
+    every permutation of the class. Unplaced members of a class tie as
+    candidates, so the search places a class in ascending order, and the
+    links among its unplaced members always fix the placed prefix.
+    """
+    autos = []
+    cells: dict[int, list[int]] = {}
+    for v in range(n):
+        cell = cells.setdefault(colors[v], [])
+        for u in reversed(cell):
+            if masks[u] & ~(1 << v) == masks[v] & ~(1 << u):
+                perm = list(range(n))
+                perm[u], perm[v] = v, u
+                autos.append(tuple(perm))
+                break
+        cell.append(v)
+    return autos
+
+
 def _min_labeling(
     n: int, masks: list[int], colors: list[int], bound: list[int] | None = None
 ) -> tuple[list[int], list[int], list[tuple[int, ...]]] | None:
     """Minimal chunks, the achieving position->vertex order, and the
-    automorphisms the search recorded.
+    automorphisms known on the way.
 
-    Each recorded automorphism is genuine: two color-compatible orders with
-    the same code differ by one. They need not generate the whole group. A
-    discrete partition needs no search and records none.
+    Each returned automorphism is genuine: a twin transposition
+    (_twin_autos), or the map between two color-compatible orders with the
+    same code. They need not generate the whole group.
+
+    When every cell is a set of twins (a discrete partition is the trivial
+    case), the twin transpositions generate every permutation within the
+    cells, and each is an automorphism. Every color-compatible order is the
+    forced order moved by one of them, so all orders give one code. The
+    candidates therefore also tie at every level, and the search, which
+    takes the smallest vertex first, reaches the forced order as its first
+    leaf. So no search is needed: the chunks and the order are the
+    search's, and the transpositions generate the whole group.
+
+    Otherwise the transpositions seed the search's orbit pruning. A pruned
+    branch is the image of an earlier sibling under an automorphism fixing
+    the placed prefix, so the first minimal leaf in candidate order is never
+    pruned, and the result does not depend on which automorphisms are known.
 
     With a bound, None unless the minimal chunks are strictly below it.
     Precondition: colors and the bound both come from single-vertex marks
@@ -212,10 +271,12 @@ def _min_labeling(
     refinement onto the other; so this minimum equals the bound, and the
     search stops there.
     """
-    if len(set(colors)) == n:
-        chunks, placed = _forced_chunks(n, masks, colors)  # discrete partition, no search
-        return (chunks, placed, []) if bound is None or chunks < bound else None
-    search = _CodeSearch(n, masks, colors, bound)
+    ncells = len(set(colors))
+    twins = _twin_autos(n, masks, colors) if ncells < n else []
+    if len(twins) == n - ncells:
+        chunks, placed = _forced_chunks(n, masks, colors)  # every cell a twin class, no search
+        return (chunks, placed, twins) if bound is None or chunks < bound else None
+    search = _CodeSearch(n, masks, colors, bound, twins)
     search._node(0)
     if search.best_placed is None:
         return None
@@ -223,8 +284,12 @@ def _min_labeling(
 
 
 def _marked_colors(n: int, masks: list[int], base_colors: list[int], mark: int) -> list[int]:
+    """Refinement of the equitable base_colors with `mark` in a cell of its
+    own. Counts into each base cell are constant on every cell of the
+    start, and the rest of the mark's cell comes after the mark, so only
+    the mark splits in the first round."""
     start = [0 if v == mark else base_colors[v] + 1 for v in range(n)]
-    return _refine_colors(n, masks, start)
+    return _refine_colors(n, masks, start, [1 << mark])
 
 
 def canonical_labeling(g: Graph) -> tuple[CanonicalCode, tuple[int, ...]]:
@@ -262,7 +327,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 def _subset_reps(m: int, masks: list[int]) -> list[int]:
     """For each vertex subset s of an m-vertex graph, the smallest subset of
-    s's orbit under the automorphisms one search of the graph records."""
+    s's orbit under the automorphisms _min_labeling returns for the graph."""
     autos = _min_labeling(m, masks, _refine_colors(m, masks, _degree_colors(m, masks)))[2]
     images = []  # per automorphism, the image of every subset
     for a in autos:
@@ -298,22 +363,20 @@ def _expand_parent(n: int, pbits: int) -> list[int]:
     backstop for isomorphic children the recorded automorphisms miss.
     """
     v = n - 1
-    full = (1 << n) - 1
     out: dict[int, None] = {}  # canonical bits of the accepted children, deduplicated
     pmasks = Graph(n - 1, pbits).adjacency_masks
     reps = _subset_reps(n - 1, pmasks)
+    pdegs = [m.bit_count() for m in pmasks]
+    # child - w is (parent - w) plus v, so it is connected exactly when the
+    # subset meets every component of parent - w (none when that is empty)
+    pieces = [_components(pmasks, ((1 << (n - 1)) - 1) ^ (1 << w)) for w in range(n - 1)]
 
-    def non_cut(masks: list[int], w: int) -> bool:
-        rest = full ^ (1 << w)
-        return _masks_reach(masks, rest) == rest
+    def non_cut(subset: int, w: int) -> bool:
+        return all(c & subset for c in pieces[w])
 
     for subset in range(1, 1 << (n - 1)):
         if reps[subset] != subset:
             continue
-        masks = [
-            pmasks[u] | (((subset >> u) & 1) << v) for u in range(n - 1)
-        ]
-        masks.append(subset)
         dv = subset.bit_count()
         # the added vertex is never a cut vertex (child - v = parent).
         # it can only be the designated vertex if no non-cut vertex has
@@ -321,21 +384,23 @@ def _expand_parent(n: int, pbits: int) -> list[int]:
         rejected = False
         same_deg = []
         for w in range(n - 1):
-            dw = masks[w].bit_count()
+            dw = pdegs[w] + ((subset >> w) & 1)
             if dw > dv:
                 continue
             if dw == dv:
                 same_deg.append(w)
-            elif non_cut(masks, w):
+            elif non_cut(subset, w):
                 rejected = True
                 break
         if rejected:
             continue
+        masks = [pmasks[u] | (((subset >> u) & 1) << v) for u in range(n - 1)]
+        masks.append(subset)
         # ... and among equal-degree non-cut vertices it must carry the
         # minimal refined color and survive the marked-code comparison
         base_colors = _refine_colors(n, masks, _degree_colors(n, masks))
         cv = base_colors[v]
-        rivals = [w for w in same_deg if base_colors[w] <= cv and non_cut(masks, w)]
+        rivals = [w for w in same_deg if base_colors[w] <= cv and non_cut(subset, w)]
         if any(base_colors[w] < cv for w in rivals):
             continue
         if rivals:

@@ -274,24 +274,29 @@ def delete_vertices(g: Graph, vs) -> tuple[Graph, dict[int, int]]:
 
 # ---------------------------------------------------------------------------
 # graph6 interchange (single-byte header; orders 1..62)
+#
+# A graph6 body byte is 63 plus six triangle bits, the lowest index in its
+# top bit. Both tables translate one six-bit group (bits >> 6k) & 63 of the
+# packed triangle at a time: that group read backwards is the byte's value.
+
+def _reverse6(x: int) -> int:
+    return int(f"{x:06b}"[::-1], 2)
+
+
+_G6_CHAR = [chr(63 + _reverse6(x)) for x in range(64)]
+# ASCII body byte -> six-bit group, -1 if invalid (reversal is its own inverse)
+_G6_GROUP = [-1] * 63 + [_reverse6(b - 63) for b in range(63, 127)] + [-1]
+
 
 def to_graph6(g: Graph) -> str:
     if g.order > MAX_GRAPH6_ORDER:
         raise GraphError(
             f"graph6 output supports order <= {MAX_GRAPH6_ORDER}, got {g.order}"
         )
-    n = g.order
-    nbits = n * (n - 1) // 2
-    chars = [chr(63 + n)]
-    # upper triangle, column-major, packed into 6-bit groups, zero padded
-    for start in range(0, nbits, 6):
-        group = 0
-        for k in range(6):
-            idx = start + k
-            bit = (g.bits >> idx) & 1 if idx < nbits else 0
-            group = (group << 1) | bit
-        chars.append(chr(63 + group))
-    return "".join(chars)
+    n, bits = g.order, g.bits
+    # bits above the triangle are zero, so the last group comes zero padded
+    groups = range(0, n * (n - 1) // 2, 6)
+    return chr(63 + n) + "".join([_G6_CHAR[(bits >> s) & 63] for s in groups])
 
 
 def parse_graph6(text: str) -> Graph:
@@ -321,18 +326,13 @@ def parse_graph6(text: str) -> Graph:
     if len(data) - 1 > body_len:
         raise Graph6Error("trailing garbage after graph6 body", 1 + body_len)
     bits = 0
-    for pos in range(body_len):
-        byte = data[1 + pos]
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"invalid body byte {byte}", 1 + pos)
-        group = byte - 63
-        for k in range(6):
-            idx = pos * 6 + k
-            bit = (group >> (5 - k)) & 1
-            if idx < nbits:
-                bits |= bit << idx
-            elif bit:
-                raise Graph6Error("nonzero padding bits", 1 + pos)
+    for pos in range(1, body_len + 1):
+        group = _G6_GROUP[data[pos]]
+        if group < 0:
+            raise Graph6Error(f"invalid body byte {data[pos]}", pos)
+        bits |= group << (6 * pos - 6)
+    if bits >> nbits:
+        raise Graph6Error("nonzero padding bits", body_len)
     return Graph(n, bits)
 
 

@@ -16,14 +16,17 @@ from resspec.graphs import (
     path_graph,
     to_graph6,
 )
+from resspec import enumeration
 from resspec.enumeration import (
     CONNECTED_CLASS_COUNTS,
     CanonicalCode,
+    _CodeSearch,
     _degree_colors,
     _marked_colors,
     _min_labeling,
     _refine_colors,
     _subset_reps,
+    _twin_autos,
     are_isomorphic,
     canonical_form,
     canonical_graph,
@@ -185,6 +188,94 @@ class TestOrbitPruning:
                         skipped += 1
                         assert canonical_form(child(s)) == canonical_form(child(r))
         assert skipped
+
+
+def plain_search(n, masks, colors, bound=None):
+    """Reference minimizer: a _CodeSearch that starts knowing no automorphism."""
+    search = _CodeSearch(n, masks, colors, bound)
+    search._node(0)
+    return None if search.best_placed is None else (search.best, search.best_placed)
+
+
+def assert_matches_plain_search(n, masks, colors, bound=None):
+    got = _min_labeling(n, masks, colors, bound)
+    want = plain_search(n, masks, colors, bound)
+    assert (got is None) == (want is None)
+    if got is None:
+        return None
+    assert (got[0], got[1]) == want
+    for a in got[2]:
+        assert sorted(a) == list(range(n))
+        for x in range(n):
+            assert colors[a[x]] == colors[x]
+            assert masks[a[x]] == sum(1 << a[y] for y in range(n) if (masks[x] >> y) & 1)
+    return got
+
+
+class TestTwinShortcut:
+    def test_matches_the_plain_search_on_every_class_up_to_8(self):
+        shortcut = searched = 0
+        for n in range(1, 9):
+            for g in enumerate_connected(n):
+                masks = list(g.adjacency_masks)
+                base = _refine_colors(n, masks, _degree_colors(n, masks))
+                assert_matches_plain_search(n, masks, base)
+                marked = [_marked_colors(n, masks, base, mark) for mark in range(n)]
+                # the bound _expand_parent sets: the minimum marked at the last vertex
+                bound = assert_matches_plain_search(n, masks, marked[-1])[0]
+                for colors in marked:
+                    assert_matches_plain_search(n, masks, colors)
+                    assert_matches_plain_search(n, masks, colors, bound)
+                    if len(_twin_autos(n, masks, colors)) == n - len(set(colors)):
+                        shortcut += len(set(colors)) < n
+                    else:
+                        searched += 1
+        assert shortcut and searched  # both paths are exercised
+
+    def test_matches_the_plain_search_on_random_graphs_up_to_16(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            n = rng.randint(1, 16)
+            p = rng.choice((0.15, 0.3, 0.5, 0.8))
+            g = new_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            masks = list(g.adjacency_masks)
+            base = _refine_colors(n, masks, _degree_colors(n, masks))
+            assert_matches_plain_search(n, masks, base)
+            mark = rng.randrange(n)
+            assert_matches_plain_search(n, masks, _marked_colors(n, masks, base, mark))
+
+    @staticmethod
+    def forbid_search(monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched a coloring whose cells are twin classes")
+
+        monkeypatch.setattr(enumeration, "_CodeSearch", no_search)
+
+    def test_twin_classes_need_no_search(self, monkeypatch):
+        # K_{n,n} is left out: its one cell holds two twin classes
+        graphs = [
+            complete_bipartite(m, k) for m in range(1, 16) for k in range(1, 17 - m) if m != k
+        ]
+        graphs += [complete_graph(k) for k in range(1, 17)]
+        want = []
+        for g in graphs:
+            n, masks = g.order, list(g.adjacency_masks)
+            _, placed = plain_search(n, masks, _refine_colors(n, masks, _degree_colors(n, masks)))
+            want.append(tuple(placed.index(v) for v in range(n)))
+        self.forbid_search(monkeypatch)
+        for g, perm in zip(graphs, want):
+            code, got = canonical_labeling(g)
+            assert got == perm
+            assert relabeled(g, perm) == code.graph()
+
+    def test_star_subsets_are_grouped_by_their_number_of_leaves(self, monkeypatch):
+        self.forbid_search(monkeypatch)  # the twin transpositions alone give the orbits
+        for leaves in range(2, 9):  # K_{1,1} = K_2 has no center
+            star = complete_bipartite(1, leaves)  # center 0
+            reps = _subset_reps(leaves + 1, list(star.adjacency_masks))
+            for s in range(1 << (leaves + 1)):
+                k = (s >> 1).bit_count()
+                assert reps[s] == (s & 1) | (((1 << k) - 1) << 1)
 
 
 class TestIsomorphism:

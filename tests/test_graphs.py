@@ -315,6 +315,23 @@ class TestGraph6:
         g = new_graph(62, [(0, 61), (30, 31)])
         assert parse_graph6(to_graph6(g)) == g
 
+    @given(st.integers(1, 62).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n * (n - 1) // 2)) - 1))))
+    @settings(max_examples=300)
+    def test_table_codec_matches_the_bit_loop(self, order_bits):
+        n, bits = order_bits
+        nbits = n * (n - 1) // 2
+        # reference encoder: the triangle one bit at a time, six to a byte
+        chars = [chr(63 + n)]
+        for start in range(0, nbits, 6):
+            group = 0
+            for idx in range(start, start + 6):
+                group = (group << 1) | ((bits >> idx) & 1 if idx < nbits else 0)
+            chars.append(chr(63 + group))
+        text = "".join(chars)
+        assert to_graph6(Graph(n, bits)) == text
+        assert parse_graph6(text) == Graph(n, bits)
+
 
 def test_repr_mentions_graph6():
     assert "graph6" in repr(complete_graph(3))
