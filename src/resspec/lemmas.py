@@ -21,13 +21,18 @@ from .graphs import (
     _components,
     _masks_reach,
     blocks_and_cut_vertices,
-    delete_edge,
     is_connected,
     to_graph6,
 )
 from .enumeration import ENUMERATION_GUARD, enumerate_connected
 from .parallel import ordered_map
-from .resistance import ResistanceMatrix, format_rational, resistance_matrix
+from .resistance import (
+    ResistanceMatrix,
+    format_rational,
+    laplacian,
+    laplacian_resistance_matrix,
+    resistance_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -118,9 +123,20 @@ def _degree_bound(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckReport 
     return None
 
 
-def _rayleigh_at(g: Graph, rm: ResistanceMatrix, e: tuple[int, int]) -> CheckReport | None:
+def _without_edge(L: list[list[int]], u: int, v: int) -> list[list[int]]:
+    """The Laplacian of G - uv from that of G: rows u and v copied, four entries edited."""
+    L = L[:]
+    ru = L[u] = L[u][:]
+    rv = L[v] = L[v][:]
+    ru[u] -= 1
+    rv[v] -= 1
+    ru[v] = rv[u] = 0
+    return L
+
+
+def _rayleigh_at(g: Graph, rm: ResistanceMatrix, L, e: tuple[int, int]) -> CheckReport | None:
     # an independent adjugate of G - e, never a rank-one update of rm
-    rm2 = resistance_matrix(delete_edge(g, *e))
+    rm2 = laplacian_resistance_matrix(_without_edge(L, *e))
     for x, y in combinations(range(g.order), 2):
         if rm2.nums[x][y] * rm.det < rm.nums[x][y] * rm2.det:
             return _fail("rayleigh", g, (x, y), rm2.value(x, y), rm.value(x, y))
@@ -128,7 +144,8 @@ def _rayleigh_at(g: Graph, rm: ResistanceMatrix, e: tuple[int, int]) -> CheckRep
 
 
 def _rayleigh(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckReport | None:
-    return _first(_rayleigh_at(g, rm, e) for e in g.edges() if e not in bridges)
+    L = laplacian(g)
+    return _first(_rayleigh_at(g, rm, L, e) for e in g.edges() if e not in bridges)
 
 
 def _cycle_bound(g: Graph, rm: ResistanceMatrix, bridges, cuts) -> CheckReport | None:
@@ -226,7 +243,7 @@ def check_rayleigh(g: Graph, e: tuple[int, int]) -> CheckReport:
             "rayleigh", True,
             note=f"edge ({u},{v}) is a bridge; deletion disconnects, comparison vacuous",
         )
-    return _rayleigh_at(g, resistance_matrix(g), e) or CheckReport("rayleigh", True)
+    return _rayleigh_at(g, resistance_matrix(g), laplacian(g), e) or CheckReport("rayleigh", True)
 
 
 def check_cycle_bound(g: Graph) -> CheckReport:

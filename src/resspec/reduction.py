@@ -17,8 +17,7 @@ from .graphs import Graph, _masks_reach, blocks_and_cut_vertices, delete_vertice
 from .resistance import (
     format_rational,
     parse_rational,
-    reduced_adjugate,
-    resistance_numerator,
+    laplacian_resistance_matrix,
     resistance_rows,
 )
 
@@ -65,7 +64,8 @@ def new_network(n: int, edges) -> WeightedNetwork:
             raise ReductionError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise ReductionError(f"self-loop ({u},{v}) is not allowed")
-        r = Fraction(r)
+        if not isinstance(r, Fraction):
+            r = Fraction(r)
         if r <= 0:
             raise ReductionError(f"edge ({u},{v}) needs positive resistance, got {r}")
         normalized.append((min(u, v), max(u, v), r))
@@ -88,16 +88,15 @@ def is_network_connected(net: WeightedNetwork) -> bool:
 def _integer_laplacian(net: WeightedNetwork) -> tuple[list[list[int]], int]:
     """Laplacian of the conductances 1/r scaled to integers, and the scale.
 
-    The scale s is the LCM of the conductance denominators; resistances of
-    the scaled network are those of net divided by s. Parallel edges add
-    their conductances.
+    The scale s is the LCM of the conductance denominators, which are the
+    resistances' numerators; resistances of the scaled network are those
+    of net divided by s. Parallel edges add their conductances.
     """
-    conductances = [1 / r for _, _, r in net.edges]
-    s = lcm(*(c.denominator for c in conductances))
+    s = lcm(*(r.numerator for _, _, r in net.edges))
     n = net.order
     L = [[0] * n for _ in range(n)]
-    for (u, v, _), c in zip(net.edges, conductances):
-        w = c.numerator * (s // c.denominator)
+    for u, v, r in net.edges:
+        w = s // r.numerator * r.denominator
         L[u][u] += w
         L[v][v] += w
         L[u][v] -= w
@@ -112,8 +111,7 @@ def weighted_resistance(net: WeightedNetwork, u: int, v: int) -> Fraction:
     if u == v:
         raise ReductionError("resistance requires two distinct vertices")
     L, s = _integer_laplacian(net)
-    adj, det = reduced_adjugate(L)
-    return Fraction(s * resistance_numerator(adj, u, v), det)
+    return s * laplacian_resistance_matrix(L).value(u, v)
 
 
 def weighted_resistance_matrix(net: WeightedNetwork) -> list[list[Fraction]]:

@@ -1,13 +1,14 @@
 """Exact effective resistances, resistance matrices, and resistance spectra.
 
 All values are exact rationals (fractions.Fraction). The one exact engine is
-reduced_adjugate: fraction-free Bareiss elimination over Python integers of
-the Laplacian minor without the last vertex. Every resistance, single pair
-or all pairs, unit or weighted, and the spanning-tree count are read from
-its adjugate and determinant. All pairs of a graph share the determinant
-as denominator, so the spectrum key (spectrum_json) stays in integers
-until it is text, and ResistanceMatrix holds the integer numerators that
-the lemma checks compare; Fractions are built only when asked for.
+reduced_adjugate: the bordered integer adjugate of the Laplacian minor
+without the last vertex, grown one leading block at a time over Python
+integers. Every resistance, single pair or all pairs, unit or weighted, and
+the spanning-tree count are read from its adjugate and determinant. All
+pairs of a graph share the determinant as denominator, so the spectrum key
+(spectrum_json) stays in integers until it is text, and ResistanceMatrix
+holds the integer numerators that the lemma checks compare; Fractions are
+built only when asked for.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from .graphs import Graph, GraphError, find, is_connected
 
@@ -74,74 +76,52 @@ def laplacian(g: Graph) -> list[list[int]]:
 def reduced_adjugate(L: list[list[int]]) -> tuple[list[list[int]], int]:
     """Adjugate and determinant of an integer Laplacian without its last row/column.
 
-    For a connected network the minor is positive definite, so Bareiss forward
-    elimination needs no pivoting. Otherwise a pivot or the determinant is
-    zero and DisconnectedError is raised; this is the connectivity check of
-    every resistance function. The adjugate is recovered column by column
-    with integer back-substitution (every division below is exact because the
-    adjugate is an integer matrix). The determinant is the (weighted)
-    spanning-tree count, and R(u, v) = resistance_numerator(adj, u, v) / det.
+    Bordering grows the adjugate C and determinant d of the leading k x k
+    block A_k of the minor, from the empty block (d = 1). With b = L[k][:k],
+    c = L[k][k] and w = C b, the Schur complement c - b^T A_k^-1 b of A_k
+    gives new = det A_{k+1} = c d - b^T w and adj A_{k+1} =
+    [[(new C + w w^T) / d, -w], [-w^T, d]]. Each division is exact, because
+    the adjugate of an integer matrix is an integer matrix. The last d is
+    the (weighted) spanning-tree count.
+
+    This is the connectivity check of every resistance function. A Laplacian
+    minor is positive semidefinite, and positive definite exactly when the
+    network is connected. Every leading block of a positive definite matrix
+    is positive definite, so a connected network never gives new <= 0. A
+    disconnected one has a singular minor, whose leading determinants are
+    >= 0 with the last one 0: a first new <= 0 exists, and every d divided
+    by before it is positive. DisconnectedError is raised there.
     """
-    n = len(L) - 1
-    if n == 0:
-        return [], 1
-    # augmented [L0 | I]; Bareiss ops stay exact on both halves
-    a = [L[i][:n] + [0] * n for i in range(n)]
-    for i in range(n):
-        a[i][n + i] = 1
-    prev = 1
-    for k in range(n - 1):
-        ak = a[k]
-        pivot = ak[k]
-        if pivot == 0:
+    C: list[list[int]] = []
+    d = 1
+    for k in range(len(L) - 1):
+        row = L[k]
+        w = [0] * k
+        for j in range(k):  # w = C b over the nonzeros of b; C is symmetric
+            b = row[j]
+            if b:
+                w = [a + b * x for a, x in zip(w, C[j])]
+        new = row[k] * d - sum(map(mul, row, w))
+        if new <= 0:
             raise DisconnectedError("infinite resistance: graph is disconnected")
-        # the right half of row k is zero past column n+k, and a row i > k
-        # has one more nonzero there, at n+i; columns <= k are never read again
-        hi = n + k + 1
-        for i in range(k + 1, n):
-            ai = a[i]
-            aik = ai[k]
-            for j in range(k + 1, hi):
-                ai[j] = (pivot * ai[j] - aik * ak[j]) // prev
-            ai[n + i] = pivot * ai[n + i] // prev
-        prev = pivot
-    det = a[n - 1][n - 1]
-    if det == 0:
-        raise DisconnectedError("infinite resistance: graph is disconnected")
-    # back-substitute U X = det * B for rows c.. of column c; the adjugate of
-    # a symmetric matrix is symmetric, so rows above c come from earlier columns
-    adj = [[0] * n for _ in range(n)]
-    for c in range(n):
-        col = [0] * n
-        for i in range(n - 1, c - 1, -1):
-            ai = a[i]
-            s = det * ai[n + c]
-            for j in range(i + 1, n):
-                s -= ai[j] * col[j]
-            col[i] = s // ai[i]
-        row = adj[c]
-        for i in range(c, n):
-            adj[i][c] = row[i] = col[i]
-    return adj, det
-
-
-def resistance_numerator(adj: list[list[int]], u: int, v: int) -> int:
-    """det * R(u, v) from a reduced adjugate; the deleted last vertex is ground."""
-    last = len(adj)
-    if u == last:
-        return adj[v][v]
-    if v == last:
-        return adj[u][u]
-    return adj[u][u] + adj[v][v] - 2 * adj[u][v]
+        for i in range(k):  # the upper triangle, mirrored
+            Ci = C[i]
+            wi = w[i]
+            for j in range(i, k):
+                C[j][i] = Ci[j] = (new * Ci[j] + wi * w[j]) // d
+            Ci.append(-wi)
+        C.append([-x for x in w] + [d])
+        d = new
+    return C, d
 
 
 def resistance_rows(L: list[list[int]], scale: int = 1) -> list[list[Fraction]]:
     """All-pairs resistances of the integer Laplacian L, each multiplied by scale."""
-    adj, det = reduced_adjugate(L)
-    n = len(L)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for u, v in combinations(range(n), 2):
-        rows[u][v] = rows[v][u] = Fraction(scale * resistance_numerator(adj, u, v), det)
+    rm = laplacian_resistance_matrix(L)
+    zero = Fraction(0)
+    rows = [[zero] * rm.order for _ in range(rm.order)]
+    for u, v in combinations(range(rm.order), 2):
+        rows[u][v] = rows[v][u] = Fraction(scale * rm.nums[u][v], rm.det)
     return rows
 
 
@@ -158,8 +138,7 @@ def resistance(g: Graph, u: int, v: int) -> Fraction:
     g._check_vertex(v)
     if u == v:
         raise GraphError("resistance requires two distinct vertices")
-    adj, det = reduced_adjugate(laplacian(g))
-    return Fraction(resistance_numerator(adj, u, v), det)
+    return laplacian_resistance_matrix(laplacian(g)).value(u, v)
 
 
 @dataclass(frozen=True)
@@ -189,11 +168,17 @@ class ResistanceMatrix:
 
 def resistance_matrix(g: Graph) -> ResistanceMatrix:
     """All-pairs resistance numerators over one adjugate and its determinant."""
-    adj, det = reduced_adjugate(laplacian(g))
-    nums = [[0] * g.order for _ in range(g.order)]
-    for u, v in combinations(range(g.order), 2):
-        nums[u][v] = nums[v][u] = resistance_numerator(adj, u, v)
-    return ResistanceMatrix(g.order, tuple(map(tuple, nums)), det)
+    return laplacian_resistance_matrix(laplacian(g))
+
+
+def laplacian_resistance_matrix(L: list[list[int]]) -> ResistanceMatrix:
+    """resistance_matrix of the integer Laplacian L: det * R(u, v) = a_uu + a_vv - 2 a_uv."""
+    adj, det = reduced_adjugate(L)
+    diag = [row[i] for i, row in enumerate(adj)]
+    nums = [tuple([du + dv - 2 * a for dv, a in zip(diag, row)] + [du])
+            for du, row in zip(diag, adj)]
+    nums.append(tuple(diag + [0]))  # the deleted last vertex is ground
+    return ResistanceMatrix(len(L), tuple(nums), det)
 
 
 @dataclass(frozen=True)
@@ -249,12 +234,10 @@ def _spectrum_runs(g: Graph) -> list[tuple[int, int, int]]:
     value needs one gcd.
     """
     adj, det = reduced_adjugate(laplacian(g))
-    diag = [adj[i][i] for i in range(len(adj))]
+    diag = [row[i] for i, row in enumerate(adj)]
     nums = diag[:]  # pairs with the deleted last vertex
-    for u, du in enumerate(diag):
-        row = adj[u]
-        for v in range(u + 1, len(diag)):
-            nums.append(du + diag[v] - 2 * row[v])
+    for u, (du, row) in enumerate(zip(diag, adj), 1):
+        nums += [du + dv - 2 * a for dv, a in zip(diag[u:], row[u:])]
     nums.sort()
     runs = []
     start = 0
@@ -302,7 +285,7 @@ def kmn_spectrum_closed_form(m: int, n: int) -> ResistanceSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles (independent of the elimination path above)
+# brute-force oracles (independent of the engine above)
 
 def _union(parent: list[int], a: int, b: int) -> bool:
     ra, rb = find(parent, a), find(parent, b)

@@ -107,6 +107,19 @@ class TestRayleigh:
         with pytest.raises(Exception, match="connected"):
             check_rayleigh(new_graph(4, [(0, 1)]), (2, 3))
 
+    def test_edited_laplacian_is_that_of_g_minus_e(self):
+        from resspec.enumeration import enumerate_connected
+        from resspec.graphs import delete_edge
+        from resspec.lemmas import _without_edge
+        from resspec.resistance import laplacian
+
+        for n in range(2, 7):
+            for g in enumerate_connected(n):
+                L = laplacian(g)
+                for e in g.edges():
+                    assert _without_edge(L, *e) == laplacian(delete_edge(g, *e))
+                assert L == laplacian(g)
+
     def test_bridge_passes_without_a_resistance_matrix(self, monkeypatch):
         from resspec import lemmas
 
@@ -192,6 +205,14 @@ def _corrupt_first_pair(real):
     return corrupted
 
 
+def _corrupt_engine(monkeypatch):
+    """Every matrix the lemma checks read, of G or of G - e, gets the corruption above."""
+    from resspec import lemmas
+
+    for name in ("resistance_matrix", "laplacian_resistance_matrix"):
+        monkeypatch.setattr(lemmas, name, _corrupt_first_pair(getattr(lemmas, name)))
+
+
 # a triangle 0,1,2 with the pendant vertex 3 at 0: bridge (0,3), cut vertex 0
 PAW = new_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
 
@@ -243,10 +264,7 @@ class TestWitnessMachinery:
     def test_sweep_counts_failures_per_lemma(self, monkeypatch):
         from collections import Counter
 
-        from resspec import lemmas
-
-        monkeypatch.setattr(lemmas, "resistance_matrix",
-                            _corrupt_first_pair(lemmas.resistance_matrix))
+        _corrupt_engine(monkeypatch)
         summary = run_all_checks(4)
         assert summary["failures_total"] == len(summary["failures"]) > 0
         tagged = Counter(w["lemma"] for w in summary["failures"])
@@ -262,21 +280,16 @@ class TestWitnessMachinery:
         # must report the same vertex tuples, lhs and rhs on every failure
         import hashlib
 
-        from resspec import lemmas
-
-        monkeypatch.setattr(lemmas, "resistance_matrix",
-                            _corrupt_first_pair(lemmas.resistance_matrix))
+        _corrupt_engine(monkeypatch)
         text = summary_to_json(run_all_checks(6))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "a700fdefb7370be51c6a167bbb725a7f9153a4e66269bd50d2a086d0fb54e74e"
         )
 
     def test_check_lemmas_exits_two_on_a_counterexample(self, monkeypatch, capsys):
-        from resspec import lemmas
         from resspec.cli import main
 
-        monkeypatch.setattr(lemmas, "resistance_matrix",
-                            _corrupt_first_pair(lemmas.resistance_matrix))
+        _corrupt_engine(monkeypatch)
         code = main(["check-lemmas", "--max-n", "4"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 2

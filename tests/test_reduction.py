@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,6 +15,7 @@ from resspec.graphs import (
 from resspec.reduction import (
     ReductionError,
     SEquivalenceError,
+    _integer_laplacian,
     eliminate_block,
     is_network_connected,
     network_to_text,
@@ -90,6 +92,28 @@ def _random_connected_multinetwork(rng, n):
         net = new_network(n, edges)
         if is_network_connected(net):
             return net
+
+
+class TestIntegerLaplacian:
+    def test_matches_the_conductance_computation(self):
+        # oracle: conductances 1/r, scaled by the LCM of their denominators
+        rng = random.Random(47)
+        for _ in range(80):
+            net = _random_connected_multinetwork(rng, rng.randint(2, 9))
+            conductances = [1 / r for _, _, r in net.edges]
+            s = lcm(*(c.denominator for c in conductances))
+            L = [[0] * net.order for _ in range(net.order)]
+            for (u, v, _), c in zip(net.edges, conductances):
+                w = c * s
+                assert w.denominator == 1
+                L[u][u] += w
+                L[v][v] += w
+                L[u][v] -= w
+                L[v][u] -= w
+            assert _integer_laplacian(net) == (L, s)
+
+    def test_edgeless_network_has_scale_one(self):
+        assert _integer_laplacian(new_network(2, [])) == ([[0, 0], [0, 0]], 1)
 
 
 class TestWeightedEngineIdentities:

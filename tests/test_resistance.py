@@ -67,6 +67,27 @@ def cofactor_adjugate(m):
     ]
 
 
+def gauss_jordan_adjugate(m):
+    """(det * inverse, det) by Fraction Gauss-Jordan elimination with row swaps (test oracle)."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    det = Fraction(1)
+    for c in range(n):
+        p = next(r for r in range(c, n) if a[r][c])
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    assert det.denominator == 1
+    return [[det * x for x in row[n:]] for row in a], int(det)
+
+
 def random_graph(rng, n, p=0.5):
     edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
     return new_graph(n, edges)
@@ -79,13 +100,13 @@ def random_connected_graph(rng, n, p=0.35):
             return g
 
 
-def random_weighted_laplacian(rng, n):
-    """Integer Laplacian of a connected multigraph with conductances 1..6."""
+def random_weighted_laplacian(rng, n, top=6):
+    """Integer Laplacian of a connected multigraph with conductances 1..top."""
     L = [[0] * n for _ in range(n)]
     edges = [(rng.randrange(v), v) for v in range(1, n)]  # a spanning tree
     edges += [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
     for u, v in edges:
-        w = rng.randint(1, 6)
+        w = rng.randint(1, top)
         L[u][v] -= w
         L[v][u] -= w
         L[u][u] += w
@@ -134,7 +155,7 @@ class TestSpanningTreeCount:
             assert spanning_tree_count(g) == spanning_tree_count_by_enumeration(g)
 
 
-class TestBareissVsCofactor:
+class TestAdjugateVsCofactor:
     def test_all_connected_graphs_up_to_6(self):
         for n in range(1, 7):
             for g in enumerate_connected(n):
@@ -177,6 +198,37 @@ class TestBareissVsCofactor:
                 assert raised == (not is_connected(g)), g
                 checked += 1
         assert checked == 1 + 2 + 8 + 64 + 1024
+
+    def test_adjugate_beyond_the_cofactor_range(self):
+        # orders 10-15 with conductances up to 10**20: multi-limb integers,
+        # where every exact division of the bordering has to come out whole
+        rng = random.Random(31)
+        for n in range(10, 16):
+            for _ in range(2):
+                L = random_weighted_laplacian(rng, n, top=10**20)
+                assert reduced_adjugate(L) == gauss_jordan_adjugate([row[:-1] for row in L[:-1]])
+
+    @staticmethod
+    def with_isolated_vertex(L, v):
+        """L with a new vertex v, on no edge, inserted before vertex v."""
+        L = [row[:v] + [0] + row[v:] for row in L]
+        return L[:v] + [[0] * len(L[0])] + L[v:]
+
+    def test_gate_fires_at_the_first_block(self):
+        # vertex 0 alone: the 1 x 1 leading block is already singular
+        L = random_weighted_laplacian(random.Random(37), 9, top=10**20)
+        with pytest.raises(DisconnectedError):
+            reduced_adjugate(self.with_isolated_vertex(L, 0))
+
+    def test_gate_fires_at_the_last_block(self):
+        # only vertex n-2 alone, the last row of the minor: every smaller
+        # leading block is the minor of the connected rest, which passes
+        rng = random.Random(41)
+        for n in range(3, 12):
+            rest = random_weighted_laplacian(rng, n - 1, top=10**20)
+            reduced_adjugate(rest)
+            with pytest.raises(DisconnectedError):
+                reduced_adjugate(self.with_isolated_vertex(rest, n - 2))
 
 
 class TestResistance:
