@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import drs, lemmas
 from .enumeration import connected_graphs
-from .graphs import complete_bipartite, is_connected, parse_graph6, to_graph6
+from .graphs import complete_bipartite, parse_graph6, to_graph6
 from .reduction import (
     network_to_text,
     parallel_reduce,
@@ -187,36 +187,22 @@ def _cmd_verify_drs(args) -> int:
         raise CliError("choose one of --kmn, --graph, --all")
     if not 1 <= args.max_n <= 10:
         raise CliError(f"--max-n must be in 1..10, got {args.max_n}")
-    allow_ten = args.max_n >= 10
-    verdicts: list[drs.DrsVerdict] = []
     if args.all:
-        verdicts = drs.check_theorems(
-            args.max_n, cache_dir=args.cache_dir, threads=args.threads,
-            allow_ten=allow_ten,
-        )
+        targets = drs.theorem_targets(args.max_n)
     elif args.kmn:
         m, n = args.kmn
-        if m < 1 or n < 1:
-            raise CliError(f"part sizes must be >= 1, got {m},{n}")
-        if m + n > args.max_n:
+        if m + n > args.max_n:  # before K_{m,n} is built, however large
             raise CliError(f"K_{{{m},{n}}} has {m + n} vertices; --max-n is {args.max_n}")
-        verdicts = [drs.verify_drs(
-            complete_bipartite(m, n), cache_dir=args.cache_dir,
-            threads=args.threads, allow_ten=allow_ten,
-        )]
+        targets = [complete_bipartite(m, n)]
     else:
-        targets = list(_input_graphs(args.graph))
-        indexes: dict[int, drs.SpectrumIndex] = {}  # one per order, shared by targets
-        for g6 in targets:
-            g = parse_graph6(g6)
+        targets = [parse_graph6(g6) for g6 in _input_graphs(args.graph)]
+        for g in targets:
             if g.order > args.max_n:
                 raise CliError(f"graph has {g.order} vertices; --max-n is {args.max_n}")
-            if g.order not in indexes and is_connected(g):
-                indexes[g.order] = drs.index_spectra(
-                    g.order, cache_dir=args.cache_dir, threads=args.threads,
-                    allow_ten=allow_ten,
-                )
-            verdicts.append(drs.verify_drs(g, index=indexes.get(g.order)))
+    verdicts = drs.verify_targets(
+        targets, cache_dir=args.cache_dir, threads=args.threads,
+        allow_ten=args.max_n >= 10,
+    )
     for verdict in verdicts:
         _print_verdict(verdict, args.output)
     violation = any(

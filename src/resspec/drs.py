@@ -29,7 +29,7 @@ from .enumeration import (
     write_atomic,
 )
 from .parallel import ordered_map
-from .resistance import resistance_spectrum, spectrum_json
+from .resistance import ResistanceSpectrum, resistance_matrix, spectrum_json
 
 # classification tags for complete bipartite targets, by part-size shape
 TAG_BALANCED = "Thm3.1"        # m == n
@@ -216,6 +216,35 @@ def verify_drs(
     )
 
 
+def verify_targets(
+    graphs: list[Graph],
+    *,
+    cache_dir: str | None = None,
+    threads: int = 1,
+    allow_ten: bool = False,
+) -> list[DrsVerdict]:
+    """verify_drs for each target in turn, building each order's index once.
+
+    Indexes are built in first-seen order, and never for a disconnected
+    target, which gets verify_drs's error.
+    """
+    indexes: dict[int, SpectrumIndex] = {}
+    verdicts = []
+    for g in graphs:
+        if g.order not in indexes and is_connected(g):
+            indexes[g.order] = index_spectra(
+                g.order, cache_dir=cache_dir, threads=threads, allow_ten=allow_ten
+            )
+        verdicts.append(verify_drs(g, index=indexes.get(g.order)))
+    return verdicts
+
+
+def theorem_targets(n_max: int) -> list[Graph]:
+    """Every K_{m,n} with m <= n and 2..n_max vertices, by order, then by m."""
+    return [complete_bipartite(m, total - m)
+            for total in range(2, n_max + 1) for m in range(1, total // 2 + 1)]
+
+
 def check_theorems(
     n_max: int,
     *,
@@ -228,16 +257,9 @@ def check_theorems(
     Proven-shape instances must come back determined; conjecture-only
     instances are reported however they come out.
     """
-    verdicts = []
-    for total in range(2, n_max + 1):
-        index = index_spectra(
-            total, cache_dir=cache_dir, threads=threads, allow_ten=allow_ten
-        )
-        for m in range(1, total // 2 + 1):
-            verdicts.append(
-                verify_drs(complete_bipartite(m, total - m), index=index)
-            )
-    return verdicts
+    return verify_targets(
+        theorem_targets(n_max), cache_dir=cache_dir, threads=threads, allow_ten=allow_ten
+    )
 
 
 @dataclass(frozen=True)
@@ -281,12 +303,15 @@ def find_collisions(
 
 
 def _reverify_pair(a6: str, b6: str, spec: str) -> None:
-    """Independent re-check of a collision or an impostor; raises on any mismatch."""
+    """Independent re-check of a collision or an impostor; raises on any mismatch.
+
+    Both spectra are counted from Fraction pairs by from_values, never read
+    from the integer runs behind the key, so a fault there cannot confirm itself.
+    """
     ga, gb = parse_graph6(a6), parse_graph6(b6)
     if canonical_form(ga) == canonical_form(gb):
         raise GraphError(f"pair {a6} / {b6} is isomorphic; index is broken")
-    # through the Fraction path, not the integer key that built the index
-    sa = resistance_spectrum(ga).to_json()
-    sb = resistance_spectrum(gb).to_json()
-    if not (sa == sb == spec):
+    sa, sb = (ResistanceSpectrum.from_values(r for *_, r in resistance_matrix(x).pairs())
+              for x in (ga, gb))
+    if not (sa.to_json() == sb.to_json() == spec):
         raise GraphError(f"pair {a6} / {b6} fails spectrum re-verification")

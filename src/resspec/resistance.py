@@ -3,12 +3,12 @@
 All values are exact rationals (fractions.Fraction). The one exact engine is
 reduced_adjugate: the bordered integer adjugate of the Laplacian minor
 without the last vertex, grown one leading block at a time over Python
-integers. Every resistance, single pair or all pairs, unit or weighted, and
-the spanning-tree count are read from its adjugate and determinant. All
-pairs of a graph share the determinant as denominator, so the spectrum key
-(spectrum_json) stays in integers until it is text, and ResistanceMatrix
-holds the integer numerators that the lemma checks compare; Fractions are
-built only when asked for.
+integers. Every resistance, unit or weighted, is read from the
+ResistanceMatrix built from it: integer numerators over one shared
+denominator, the spanning-tree count, which the lemma checks compare. The
+one spectrum path, _spectrum_runs, sorts the numerators with one gcd per
+distinct value; spectrum_json writes its runs as text and
+resistance_spectrum builds one Fraction per run.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import combinations
 from math import gcd
 from operator import mul
 
-from .graphs import Graph, GraphError, find, is_connected
+from .graphs import Graph, GraphError, is_connected
 
 
 class DisconnectedError(GraphError):
@@ -42,7 +42,7 @@ def format_rational(q: Fraction) -> str:
 
 def _runs_json(runs) -> str:
     """Compact JSON [["num/den", mult], ...] of (num, den, mult) runs."""
-    return "[" + ",".join(f'["{_ratio_text(p, q)}",{m}]' for p, q, m in runs) + "]"
+    return "[" + ",".join([f'["{_ratio_text(p, q)}",{m}]' for p, q, m in runs]) + "]"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -175,9 +175,9 @@ def laplacian_resistance_matrix(L: list[list[int]]) -> ResistanceMatrix:
     """resistance_matrix of the integer Laplacian L: det * R(u, v) = a_uu + a_vv - 2 a_uv."""
     adj, det = reduced_adjugate(L)
     diag = [row[i] for i, row in enumerate(adj)]
-    nums = [tuple([du + dv - 2 * a for dv, a in zip(diag, row)] + [du])
+    nums = [(*[du + dv - 2 * a for dv, a in zip(diag, row)], du)
             for du, row in zip(diag, adj)]
-    nums.append(tuple(diag + [0]))  # the deleted last vertex is ground
+    nums.append((*diag, 0))  # the deleted last vertex is ground
     return ResistanceMatrix(len(L), tuple(nums), det)
 
 
@@ -222,22 +222,22 @@ class ResistanceSpectrum:
 
 
 def resistance_spectrum(g: Graph) -> ResistanceSpectrum:
-    rm = resistance_matrix(g)
-    return ResistanceSpectrum.from_values(r for _, _, r in rm.pairs())
+    runs = _spectrum_runs(resistance_matrix(g))
+    return ResistanceSpectrum(tuple((Fraction(p, q), m) for p, q, m in runs))
 
 
-def _spectrum_runs(g: Graph) -> list[tuple[int, int, int]]:
+def _spectrum_runs(rm: ResistanceMatrix) -> list[tuple[int, int, int]]:
     """Ascending (num, den, mult) runs of the spectrum, each num/den in lowest terms.
 
     Every pair shares the denominator det > 0, so sorting the integer
-    numerators det * R(u, v) sorts the resistances, and each distinct
-    value needs one gcd.
+    numerators of the upper triangle sorts the resistances, and each
+    distinct value needs one gcd. This is the only place that turns a
+    resistance matrix into a spectrum.
     """
-    adj, det = reduced_adjugate(laplacian(g))
-    diag = [row[i] for i, row in enumerate(adj)]
-    nums = diag[:]  # pairs with the deleted last vertex
-    for u, (du, row) in enumerate(zip(diag, adj), 1):
-        nums += [du + dv - 2 * a for dv, a in zip(diag[u:], row[u:])]
+    det = rm.det
+    nums = []
+    for u, row in enumerate(rm.nums, 1):
+        nums += row[u:]
     nums.sort()
     runs = []
     start = 0
@@ -250,11 +250,11 @@ def _spectrum_runs(g: Graph) -> list[tuple[int, int, int]]:
 
 
 def spectrum_json(g: Graph) -> str:
-    """resistance_spectrum(g).to_json(), computed over integers.
+    """resistance_spectrum(g).to_json(), written from the integer runs.
 
     This is the key that groups classes in the spectrum index.
     """
-    return _runs_json(_spectrum_runs(g))
+    return _runs_json(_spectrum_runs(resistance_matrix(g)))
 
 
 def resistance_diameter(g: Graph) -> Fraction:
@@ -282,51 +282,3 @@ def kmn_spectrum_closed_form(m: int, n: int) -> ResistanceSpectrum:
         if mult:
             counts[value] = counts.get(value, 0) + mult
     return ResistanceSpectrum(tuple(sorted(counts.items())))
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracles (independent of the engine above)
-
-def _union(parent: list[int], a: int, b: int) -> bool:
-    ra, rb = find(parent, a), find(parent, b)
-    if ra == rb:
-        return False
-    parent[ra] = rb
-    return True
-
-
-def spanning_tree_count_by_enumeration(g: Graph) -> int:
-    """Count spanning trees by testing every (n-1)-edge subset."""
-    n = g.order
-    if n == 1:
-        return 1
-    edges = g.edges()
-    count = 0
-    for subset in combinations(edges, n - 1):
-        parent = list(range(n))
-        if all(_union(parent, u, v) for u, v in subset):
-            count += 1
-    return count
-
-
-def resistance_by_forest_enumeration(g: Graph, u: int, v: int) -> Fraction:
-    """Resistance as (2-component forests separating u,v) / (spanning trees)."""
-    n = g.order
-    if u == v:
-        raise GraphError("resistance requires two distinct vertices")
-    trees = spanning_tree_count_by_enumeration(g)
-    if trees == 0:
-        raise DisconnectedError("infinite resistance: graph is disconnected")
-    if n == 2:
-        separating = 1  # the empty forest
-    else:
-        edges = g.edges()
-        separating = 0
-        for subset in combinations(edges, n - 2):
-            parent = list(range(n))
-            if not all(_union(parent, a, b) for a, b in subset):
-                continue
-            # exactly two trees; count it when they separate u from v
-            if find(parent, u) != find(parent, v):
-                separating += 1
-    return Fraction(separating, trees)

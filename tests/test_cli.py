@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from resspec.cli import main
+from resspec.enumeration import enumerate_connected
 from resspec.graphs import complete_bipartite, path_graph, to_graph6
 
 K23 = to_graph6(complete_bipartite(2, 3))
@@ -65,6 +66,21 @@ class TestSpectrumCommand:
         code, _, err = run_cli(capsys, "spectrum", "A_x")
         assert code == 1 and "byte offset" in err
 
+    @pytest.mark.parametrize("flags,digest", [
+        (["--output", "json", "--decimal"],
+         "56bbeb717cc85af0667d6b6b82654faca9fb35aefc8c7b8a822e1d510d8c713d"),
+        ([], "abeffc0030e831d309e6d80e5a686600077f72ad5f81ceb455798c614d586698"),
+        (["--output", "tsv", "--decimal"],
+         "60fc22a612b2d7b9c6fd3e711eeca4d65f8ae0db4973d30168c20b993d67bbca"),
+    ], ids=["json-decimal", "human", "tsv-decimal"])
+    def test_every_class_up_to_7_is_pinned(self, capsys, monkeypatch, flags, digest):
+        lines = [to_graph6(g) for n in range(1, 8) for g in enumerate_connected(n)]
+        assert len(lines) == 996
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(t + "\n" for t in lines)))
+        code, out, _ = run_cli(capsys, "spectrum", *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
     def test_decimal_leaves_caller_context_alone(self, capsys):
         with localcontext() as ctx:
             ctx.prec = 50
@@ -97,6 +113,13 @@ class TestVerifyDrsCommand:
         code, _, err = run_cli(capsys, "verify-drs", "--kmn", "4", "6")
         assert code == 1 and "--max-n" in err
 
+    def test_kmn_above_max_n_builds_no_graph(self, capsys, monkeypatch):
+        from resspec import cli
+
+        monkeypatch.setattr(cli, "complete_bipartite", None)
+        code, out, err = run_cli(capsys, "verify-drs", "--kmn", "400", "500")
+        assert code == 1 and out == "" and "--max-n" in err
+
     @pytest.mark.parametrize("max_n", ["-3", "0", "11"])
     def test_max_n_outside_range_fails_before_any_work(self, capsys, monkeypatch, max_n):
         from resspec import drs
@@ -110,7 +133,9 @@ class TestVerifyDrsCommand:
         code, out, _ = run_cli(capsys, "verify-drs", "--graph", "Bw", "--output", "human")
         assert code == 0 and "determined" in out
 
-    def test_stdin_targets_share_one_index_per_order(self, capsys, monkeypatch):
+    @pytest.fixture
+    def index_calls(self, monkeypatch):
+        """The orders that drs.index_spectra is called for, in call order."""
         from resspec import drs
 
         calls = []
@@ -121,11 +146,31 @@ class TestVerifyDrsCommand:
             return real(n, **kwargs)
 
         monkeypatch.setattr(drs, "index_spectra", counting)
+        return calls
+
+    def test_stdin_targets_share_one_index_per_order(self, capsys, monkeypatch, index_calls):
         targets = [K23, to_graph6(path_graph(5)), to_graph6(complete_bipartite(1, 4))]
         monkeypatch.setattr(sys, "stdin", io.StringIO("".join(t + "\n" for t in targets)))
         code, out, _ = run_cli(capsys, "verify-drs", "--output", "tsv")
         assert code == 0 and len(out.splitlines()) == 3
-        assert calls == [5]
+        assert index_calls == [5]
+
+    @pytest.mark.parametrize("argv,lines,orders", [
+        (["--all", "--max-n", "5"], 6, [2, 3, 4, 5]),
+        (["--kmn", "2", "3"], 1, [5]),
+    ], ids=["all", "kmn"])
+    def test_every_mode_builds_each_orders_index_once(self, capsys, index_calls,
+                                                      argv, lines, orders):
+        code, out, _ = run_cli(capsys, "verify-drs", *argv, "--output", "tsv")
+        assert code == 0 and len(out.splitlines()) == lines
+        assert index_calls == orders
+
+    def test_malformed_stdin_target_fails_before_any_index(self, capsys, monkeypatch,
+                                                           index_calls):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(K23 + "\nD~x\n"))
+        code, out, err = run_cli(capsys, "verify-drs")
+        assert code == 1 and out == "" and "byte offset" in err
+        assert index_calls == []
 
     def test_disconnected_stdin_target_builds_no_index(self, capsys, monkeypatch):
         from resspec import drs

@@ -1,4 +1,6 @@
+import importlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -212,6 +214,27 @@ class TestVerdicts:
         verdict = verify_drs(parse_graph6(a), index=index)
         assert not verdict.determined and verdict.impostors == (b,)
         assert verdict.spectrum_json == key == spectrum_json(parse_graph6(b))
+
+    def test_corrupted_runs_cannot_confirm_an_impostor(self, monkeypatch):
+        # doubling the largest value still gives a valid spectrum, so only a
+        # re-check that does not read the runs can see the key is wrong
+        # resspec.resistance would give the function the package exports under that name
+        module = importlib.import_module("resspec.resistance")
+        real = module._spectrum_runs
+
+        def corrupted(rm):
+            runs = real(rm)
+            num, den, mult = runs[-1]
+            top = Fraction(2 * num, den)
+            return runs[:-1] + [(top.numerator, top.denominator, mult)]
+
+        monkeypatch.setattr(module, "_spectrum_runs", corrupted)
+        a, b = COSPECTRAL_PAIR_9
+        key = spectrum_json(parse_graph6(a))
+        assert key == resistance_spectrum(parse_graph6(b)).to_json()
+        index = SpectrumIndex(9, {key: (a, b)})
+        with pytest.raises(GraphError, match="re-verification"):
+            verify_drs(parse_graph6(a), index=index)
 
     def test_verdict_json(self):
         doc = verify_drs(complete_bipartite(1, 1)).to_json_dict()

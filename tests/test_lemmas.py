@@ -234,7 +234,8 @@ class TestWitnessMachinery:
         # the witness reproduces the violation against the independent
         # forest-count oracle
         from resspec.lemmas import _foster
-        from resspec.resistance import resistance_by_forest_enumeration, resistance_matrix
+        from oracles import resistance_by_forest_enumeration
+        from resspec.resistance import resistance_matrix
 
         g = cycle_graph(4)
         report = _foster(g, _with_entry(resistance_matrix(g), 0, 1, Fraction(9)),
