@@ -4,7 +4,13 @@ A graph is determined by its resistance spectrum when no non-isomorphic
 graph shares it. Since the spectrum has C(n,2) finite entries, any graph
 sharing it is connected with the same vertex count, so the unbounded
 quantifier collapses to the finite one handled here: group every connected
-n-vertex class by its exact spectrum and look the target up.
+n-vertex class by its spectrum and look the target up.
+
+The index groups by spectrum_fingerprint, 64 bits per class, and forms
+exact keys (spectrum_json) only where a group is read: equal spectra give
+equal fingerprints, so a fingerprint run holds every class cospectral with
+any of its members, and splitting each run of two or more by exact key
+keeps any fingerprint collision out of every verdict and report.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import (
     Graph,
@@ -29,7 +36,13 @@ from .enumeration import (
     write_atomic,
 )
 from .parallel import ordered_map
-from .resistance import ResistanceSpectrum, resistance_matrix, spectrum_json
+from .resistance import (
+    ResistanceSpectrum,
+    resistance_matrix,
+    spectrum_fingerprint,
+    spectrum_json,
+    spectrum_key,
+)
 
 # classification tags for complete bipartite targets, by part-size shape
 TAG_BALANCED = "Thm3.1"        # m == n
@@ -75,49 +88,82 @@ def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class SpectrumIndex:
-    """All connected classes of one order, grouped by exact spectrum.
+    """All connected classes of one order, grouped by spectrum fingerprint.
 
-    groups maps the spectrum's JSON serialization to the graph6 strings of
-    the canonical representatives realizing it, in canonical-code order.
+    runs maps a spectrum_fingerprint to the graph6 strings of the canonical
+    representatives giving it, in canonical-code order. A run holds every
+    class cospectral with any of its members, and a run of two or more is
+    split by exact key wherever it is read.
     """
 
     order: int
-    groups: dict[str, tuple[str, ...]]
+    runs: dict[int, tuple[str, ...]]
 
     @property
     def class_count(self) -> int:
-        return sum(len(v) for v in self.groups.values())
+        return sum(len(v) for v in self.runs.values())
+
+    @cached_property
+    def groups(self) -> dict[str, tuple[str, ...]]:
+        """Exact key -> members for every spectrum; re-keys every class."""
+        groups = {}
+        for members in self.runs.values():
+            groups.update(_exact_groups(members))
+        return groups
 
     def collision_groups(self) -> dict[str, tuple[str, ...]]:
-        return {k: v for k, v in self.groups.items() if len(v) >= 2}
+        """Exact key -> members for each spectrum two or more classes share."""
+        return {k: v for members in self.runs.values() if len(members) >= 2
+                for k, v in _exact_groups(members).items() if len(v) >= 2}
+
+
+def _exact_groups(members: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
+    """The members of one run grouped by spectrum_json, each group in run order."""
+    groups: dict[str, list[str]] = {}
+    for g6 in members:
+        groups.setdefault(spectrum_json(parse_graph6(g6)), []).append(g6)
+    return {k: tuple(v) for k, v in groups.items()}
+
+
+def _class_fingerprint(g: Graph) -> int:
+    return spectrum_fingerprint(resistance_matrix(g))
 
 
 def spectra_cache_path(cache_dir: str, n: int) -> str:
     return os.path.join(cache_dir, f"spectra-{n}.tsv")
 
 
-def _load_spectra_cache(cache_dir: str, n: int) -> list[tuple[str, str]] | None:
+def _load_spectra_cache(cache_dir: str, n: int) -> dict[int, tuple[str, ...]] | None:
+    """The cached runs of SpectrumIndex, or None when absent; bad rows raise."""
     path = spectra_cache_path(cache_dir, n)
     if not os.path.exists(path):
         return None
-    rows = []
+    head, length = chr(63 + n), 1 + (n * (n - 1) // 2 + 5) // 6
+    runs: dict[int, tuple[str, ...]] = {}
+    count = 0
     with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise GraphError(f"{path}:{lineno}: expected 'graph6<TAB>spectrum-json'")
-            rows.append((parts[0], parts[1]))
-    check_class_count(path, n, len(rows))
-    return rows
+        lines = fh.read().split("\n")
+    for lineno, line in enumerate(lines, 1):
+        if not line:
+            continue
+        g6, tab, fp = line.partition("\t")
+        if not tab or len(fp) != 16 or fp.strip("0123456789abcdef"):
+            raise GraphError(
+                f"{path}:{lineno}: expected 'graph6<TAB>fingerprint', 16 lowercase hex digits"
+            )
+        if g6[:1] != head or len(g6) != length:
+            raise GraphError(f"{path}:{lineno}: {g6!r} is not a graph6 string of order {n}")
+        key = int(fp, 16)
+        runs[key] = runs.get(key, ()) + (g6,)
+        count += 1
+    check_class_count(path, n, count)
+    return runs
 
 
-def _save_spectra_cache(cache_dir: str, n: int, rows: list[tuple[str, str]]) -> None:
+def _save_spectra_cache(cache_dir: str, n: int, rows: list[tuple[str, int]]) -> None:
     os.makedirs(cache_dir, exist_ok=True)
     write_atomic(
-        spectra_cache_path(cache_dir, n), (f"{g6}\t{spec}\n" for g6, spec in rows)
+        spectra_cache_path(cache_dir, n), (f"{g6}\t{fp:016x}\n" for g6, fp in rows)
     )
 
 
@@ -128,21 +174,21 @@ def index_spectra(
     threads: int = 1,
     allow_ten: bool = False,
 ) -> SpectrumIndex:
-    """Partition all connected n-vertex classes by exact spectrum."""
-    rows = None
+    """Partition all connected n-vertex classes by spectrum fingerprint."""
+    runs = None
     if cache_dir:
-        rows = _load_spectra_cache(cache_dir, n)
-    if rows is None:
+        runs = _load_spectra_cache(cache_dir, n)
+    if runs is None:
         graphs = list(connected_graphs(
             n, cache_dir=cache_dir, threads=threads, allow_ten=allow_ten
         ))
-        rows = list(zip(map(to_graph6, graphs), ordered_map(spectrum_json, graphs, threads)))
+        rows = list(zip(map(to_graph6, graphs), ordered_map(_class_fingerprint, graphs, threads)))
         if cache_dir:
             _save_spectra_cache(cache_dir, n, rows)
-    groups: dict[str, list[str]] = {}
-    for g6, spec in rows:
-        groups.setdefault(spec, []).append(g6)
-    return SpectrumIndex(n, {k: tuple(v) for k, v in groups.items()})
+        runs = {}
+        for g6, fp in rows:  # a run is one class unless spectra or fingerprints coincide
+            runs[fp] = runs.get(fp, ()) + (g6,)
+    return SpectrumIndex(n, runs)
 
 
 @dataclass(frozen=True)
@@ -186,7 +232,9 @@ def verify_drs(
 
     The search space is all connected graphs with g's vertex count: the
     spectrum's total multiplicity C(n,2) fixes the vertex count and its
-    finiteness forces connectedness, so nothing else can share it.
+    finiteness forces connectedness, so nothing else can share it. Every
+    class sharing it is in g's fingerprint run; the impostors are the
+    members whose exact key equals g's.
     """
     if not is_connected(g):
         raise GraphError("determinability is defined for connected graphs")
@@ -196,12 +244,13 @@ def verify_drs(
         )
     elif index.order != g.order:
         raise GraphError(f"index is for order {index.order}, graph has {g.order}")
-    key = spectrum_json(g)
-    group = index.groups.get(key, ())
+    rm = resistance_matrix(g)
+    key = spectrum_key(rm)
+    run = index.runs.get(spectrum_fingerprint(rm), ())
     me = to_graph6(canonical_graph(g))
-    if me not in group:
-        raise GraphError("spectrum index is inconsistent: target missing from its group")
-    impostors = tuple(x for x in group if x != me)
+    if me not in run:
+        raise GraphError("spectrum index is inconsistent: target missing from its run")
+    impostors = tuple(x for x in run if x != me and spectrum_json(parse_graph6(x)) == key)
     for x in impostors:
         _reverify_pair(me, x, key)
     parts = complete_bipartite_parts(g)

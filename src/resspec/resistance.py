@@ -8,7 +8,10 @@ ResistanceMatrix built from it: integer numerators over one shared
 denominator, the spanning-tree count, which the lemma checks compare. The
 one spectrum path, _spectrum_runs, sorts the numerators with one gcd per
 distinct value; spectrum_json writes its runs as text and
-resistance_spectrum builds one Fraction per run.
+resistance_spectrum builds one Fraction per run. spectrum_fingerprint
+digests the same sorted numerators over their least common denominator
+into 64 bits, equal for equal spectra, which the spectrum index groups by
+before it confirms any shared fingerprint with exact keys.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from hashlib import blake2b
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -226,6 +230,15 @@ def resistance_spectrum(g: Graph) -> ResistanceSpectrum:
     return ResistanceSpectrum(tuple((Fraction(p, q), m) for p, q, m in runs))
 
 
+def _sorted_numerators(rm: ResistanceMatrix) -> list[int]:
+    """The numerators of the upper triangle of rm.nums, ascending."""
+    nums = []
+    for u, row in enumerate(rm.nums, 1):
+        nums += row[u:]
+    nums.sort()
+    return nums
+
+
 def _spectrum_runs(rm: ResistanceMatrix) -> list[tuple[int, int, int]]:
     """Ascending (num, den, mult) runs of the spectrum, each num/den in lowest terms.
 
@@ -235,10 +248,7 @@ def _spectrum_runs(rm: ResistanceMatrix) -> list[tuple[int, int, int]]:
     resistance matrix into a spectrum.
     """
     det = rm.det
-    nums = []
-    for u, row in enumerate(rm.nums, 1):
-        nums += row[u:]
-    nums.sort()
+    nums = _sorted_numerators(rm)
     runs = []
     start = 0
     for i in range(1, len(nums) + 1):
@@ -249,12 +259,35 @@ def _spectrum_runs(rm: ResistanceMatrix) -> list[tuple[int, int, int]]:
     return runs
 
 
+def spectrum_key(rm: ResistanceMatrix) -> str:
+    """The exact spectrum key of a matrix already built: spectrum_json's text."""
+    return _runs_json(_spectrum_runs(rm))
+
+
 def spectrum_json(g: Graph) -> str:
     """resistance_spectrum(g).to_json(), written from the integer runs.
 
-    This is the key that groups classes in the spectrum index.
+    This is the exact key that confirms a group of the spectrum index.
     """
-    return _runs_json(_spectrum_runs(resistance_matrix(g)))
+    return spectrum_key(resistance_matrix(g))
+
+
+def spectrum_fingerprint(rm: ResistanceMatrix) -> int:
+    """64-bit blake2b digest of the spectrum's canonical integer form.
+
+    With N the sorted upper-triangle numerators and g = gcd(det, *N), the
+    digest is taken of the text "D:M1,M2,..." with D = det/g and Mi = Ni/g.
+    D is the least common denominator of the values Mi/D: if k*Mi/D is an
+    integer for every i, then D divides k*Mi and k*D, so it divides
+    k*gcd(D, M1, M2, ...) = k. So D, and the sorted Mi = D * value, depend on
+    the spectrum alone, and equal spectra give equal fingerprints. Unequal
+    spectra may share one; the spectrum index settles every shared
+    fingerprint with exact keys, so no exact result rests on the digest.
+    """
+    nums = _sorted_numerators(rm)
+    g = gcd(rm.det, *nums)
+    text = f"{rm.det // g}:" + ",".join([str(x // g) for x in nums])
+    return int.from_bytes(blake2b(text.encode("ascii"), digest_size=8).digest(), "big")
 
 
 def resistance_diameter(g: Graph) -> Fraction:

@@ -363,9 +363,18 @@ def test_criterion_8_collision_mining(cache_dir):
             assert resistance_spectrum(ga).to_json() == spec
             assert resistance_spectrum(gb).to_json() == spec
         outcome[n] = len(report.pairs)
+    assert outcome == {**{n: 0 for n in range(1, 9)}, 9: 9}
     elapsed = time.perf_counter() - t0
     _report(8, "collision mining completes for n <= 9, pairs re-verified", elapsed,
             f"pairs per order: {outcome}")
+
+
+# sha256 of the stdout of criterion 9's cases, keyed by command
+PINNED = {
+    "verify-drs": "1f7c6887ce790860f18f991b7715c4ed6704187c6922d986c0477c262b28f643",
+    "collisions": "ff2069013aebd88e4b1e50c7d5c8329987a784b70e68530c3f1ddd9ced8bd3a8",
+    "check-lemmas": "6f86235f5aab27b80ac0cebfdc73588226f8da03db09da855b086f233b0f3692",
+}
 
 
 def test_criterion_9_worker_count_determinism(tmp_path):
@@ -387,9 +396,7 @@ def test_criterion_9_worker_count_determinism(tmp_path):
             )
             runs.append(proc.stdout)
         assert runs[0] == runs[1], f"output differs across worker counts: {case}"
-        if case[0] == "check-lemmas":  # the lemma sweep's bytes are pinned, not just stable
-            assert hashlib.sha256(runs[0]).hexdigest() == (
-                "6f86235f5aab27b80ac0cebfdc73588226f8da03db09da855b086f233b0f3692"
-            )
+        if case[0] in PINNED:  # these reports' bytes are pinned, not just stable
+            assert hashlib.sha256(runs[0]).hexdigest() == PINNED[case[0]], case
     elapsed = time.perf_counter() - t0
     _report(9, "byte-identical reports with 1 and 2 workers", elapsed)

@@ -1,5 +1,5 @@
+import hashlib
 import importlib
-import json
 from fractions import Fraction
 
 import pytest
@@ -34,7 +34,13 @@ from resspec.graphs import (
 )
 from resspec.enumeration import canonical_graph, connected_graphs
 from resspec.graphs import parse_graph6, to_graph6
-from resspec.resistance import resistance_spectrum, spectrum_json
+from resspec.resistance import (
+    ResistanceMatrix,
+    resistance_matrix,
+    resistance_spectrum,
+    spectrum_fingerprint,
+    spectrum_json,
+)
 
 
 # a resistance-cospectral pair of non-isomorphic classes on nine vertices
@@ -121,12 +127,12 @@ class TestIndex:
         assert (tmp_path / "spectra-4.tsv").exists()
         again = index_spectra(4, cache_dir=str(tmp_path))
         assert again.groups == idx.groups
-        # cache rows are graph6 TAB spectrum-json
+        # cache rows are graph6 TAB the fingerprint as 16 lowercase hex digits
         lines = (tmp_path / "spectra-4.tsv").read_text().splitlines()
         assert len(lines) == 6
         for line in lines:
-            g6, spec = line.split("\t")
-            json.loads(spec)
+            g6, fp = line.split("\t")
+            assert fp == f"{spectrum_fingerprint(resistance_matrix(parse_graph6(g6))):016x}"
 
     def test_corrupt_cache_rejected(self, tmp_path):
         path = spectra_cache_path(str(tmp_path), 3)
@@ -157,12 +163,88 @@ class TestIndex:
 
         monkeypatch.setattr("os.replace", fail)
         with pytest.raises(OSError, match="disk full"):
-            drs._save_spectra_cache(str(tmp_path), 4, [("C~", "[]")])
+            drs._save_spectra_cache(str(tmp_path), 4, [("C~", 0)])
         # the old file is intact and no temp file is left behind
         assert open(path).read() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["connected-4.g6", "spectra-4.tsv"]
         monkeypatch.undo()
         assert index_spectra(4, cache_dir=str(tmp_path)).groups == idx.groups
+
+
+def _fingerprint_text(text: str) -> int:
+    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+
+
+class TestFingerprint:
+    @pytest.mark.parametrize("g,text", [
+        (new_graph(1, []), "1:"),
+        (path_graph(3), "1:1,1,2"),
+        (cycle_graph(4), "4:3,3,3,3,4,4"),
+        (complete_graph(4), "2:1,1,1,1,1,1"),  # det 16, every numerator 8
+    ])
+    def test_canonical_integer_form(self, g, text):
+        assert spectrum_fingerprint(resistance_matrix(g)) == _fingerprint_text(text)
+
+    def test_reads_the_values_not_the_denominator(self):
+        # K3 over its spanning-tree count 3, and the same values over 6
+        k3 = resistance_matrix(complete_graph(3))
+        scaled = ResistanceMatrix(3, tuple(tuple(2 * x for x in row) for row in k3.nums), 6)
+        assert spectrum_fingerprint(scaled) == spectrum_fingerprint(k3)
+
+    def test_groups_as_the_exact_key_on_every_class_up_to_8(self, cache_dir):
+        for n in range(1, 9):
+            by_fp, by_key = {}, {}
+            for g in connected_graphs(n, cache_dir=cache_dir):
+                g6 = to_graph6(g)
+                by_fp.setdefault(spectrum_fingerprint(resistance_matrix(g)), []).append(g6)
+                by_key.setdefault(spectrum_json(g), []).append(g6)
+            assert sorted(by_fp.values()) == sorted(by_key.values()), n
+            runs = index_spectra(n, cache_dir=cache_dir).runs
+            assert runs == {fp: tuple(v) for fp, v in by_fp.items()}, n
+
+    def test_order_one(self, tmp_path):
+        k1 = new_graph(1, [])
+        idx = index_spectra(1, cache_dir=str(tmp_path))
+        assert idx.runs == {_fingerprint_text("1:"): ("@",)}
+        assert idx.groups == {"[]": ("@",)}
+        assert index_spectra(1, cache_dir=str(tmp_path)) == idx
+        verdict = verify_drs(k1, index=idx)
+        assert verdict.determined and verdict.spectrum_json == "[]"
+
+    def test_constant_fingerprint_changes_no_result(self, monkeypatch):
+        # every class of one order in one run: the exact keys alone must split it
+        def results():
+            out = []
+            for n in range(1, 7):
+                idx = index_spectra(n, threads=1)
+                verdicts = [verify_drs(g, index=idx).to_json() for g in connected_graphs(n)]
+                out.append((idx.groups, find_collisions(n, threads=1), verdicts))
+            return out
+
+        before = results()
+        monkeypatch.setattr(drs, "spectrum_fingerprint", lambda rm: 0)
+        assert list(index_spectra(6, threads=1).runs) == [0]
+        assert results() == before
+
+    def test_parent_format_cache_rejected(self, tmp_path):
+        # rows keyed by spectrum JSON, with the right row count
+        rows = [f"{to_graph6(g)}\t{spectrum_json(g)}\n" for g in connected_graphs(6)]
+        assert len(rows) == 112
+        with open(spectra_cache_path(str(tmp_path), 6), "w") as fh:
+            fh.writelines(rows)
+        with pytest.raises(GraphError, match="spectra-6.tsv:1: expected 'graph6<TAB>fingerprint'"):
+            index_spectra(6, cache_dir=str(tmp_path))
+
+    def test_row_of_the_wrong_order_rejected(self, tmp_path):
+        index_spectra(6, cache_dir=str(tmp_path))
+        path = spectra_cache_path(str(tmp_path), 6)
+        with open(path) as fh:
+            lines = fh.readlines()
+        lines[-1] = "D~{\t" + lines[-1].split("\t")[1]  # K5, keeping the row count
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        with pytest.raises(GraphError, match="spectra-6.tsv:112: 'D~{' is not a graph6 string of order 6"):
+            index_spectra(6, cache_dir=str(tmp_path))
 
 
 class TestVerdicts:
@@ -199,18 +281,24 @@ class TestVerdicts:
         with pytest.raises(ValueError):
             DrsVerdict("A_", 2, True, TAG_BALANCED, ("Bw",), "[]")
 
-    def test_impostor_that_is_not_cospectral_is_rejected(self):
+    def test_impostor_that_is_not_cospectral_is_rejected(self, monkeypatch):
         target = complete_bipartite(2, 2)
         me = to_graph6(canonical_graph(target))
         other = to_graph6(canonical_graph(path_graph(4)))
-        index = SpectrumIndex(4, {spectrum_json(target): (me, other)})
+        fp = spectrum_fingerprint(resistance_matrix(target))
+        index = SpectrumIndex(4, {fp: (me, other)})
+        # a non-cospectral member of the target's run is split off by its exact key
+        assert verify_drs(target, index=index).determined
+        # so only a wrong exact key can make it an impostor, and re-verification catches it
+        key = spectrum_json(target)
+        monkeypatch.setattr(drs, "spectrum_json", lambda g: key)
         with pytest.raises(GraphError, match="re-verification"):
             verify_drs(target, index=index)
 
     def test_cospectral_impostor_is_reported(self):
         a, b = COSPECTRAL_PAIR_9
         key = spectrum_json(parse_graph6(a))
-        index = SpectrumIndex(9, {key: (a, b)})
+        index = SpectrumIndex(9, {spectrum_fingerprint(resistance_matrix(parse_graph6(a))): (a, b)})
         verdict = verify_drs(parse_graph6(a), index=index)
         assert not verdict.determined and verdict.impostors == (b,)
         assert verdict.spectrum_json == key == spectrum_json(parse_graph6(b))
@@ -232,7 +320,7 @@ class TestVerdicts:
         a, b = COSPECTRAL_PAIR_9
         key = spectrum_json(parse_graph6(a))
         assert key == resistance_spectrum(parse_graph6(b)).to_json()
-        index = SpectrumIndex(9, {key: (a, b)})
+        index = SpectrumIndex(9, {spectrum_fingerprint(resistance_matrix(parse_graph6(a))): (a, b)})
         with pytest.raises(GraphError, match="re-verification"):
             verify_drs(parse_graph6(a), index=index)
 
