@@ -16,7 +16,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import drs, lemmas
-from .enumeration import connected_graphs
+from .enumeration import ENUMERATION_GUARD, connected_graphs
 from .graphs import complete_bipartite, parse_graph6, to_graph6
 from .reduction import (
     network_to_text,
@@ -199,10 +199,7 @@ def _cmd_verify_drs(args) -> int:
         for g in targets:
             if g.order > args.max_n:
                 raise CliError(f"graph has {g.order} vertices; --max-n is {args.max_n}")
-    verdicts = drs.verify_targets(
-        targets, cache_dir=args.cache_dir, threads=args.threads,
-        allow_ten=args.max_n >= 10,
-    )
+    verdicts = drs.verify_targets(targets, cache_dir=args.cache_dir, threads=args.threads)
     for verdict in verdicts:
         _print_verdict(verdict, args.output)
     violation = any(
@@ -211,19 +208,23 @@ def _cmd_verify_drs(args) -> int:
     return 2 if violation else 0
 
 
+def _refuse_ten_unless_allowed(args) -> None:
+    # n=10 costs about 25 minutes and gigabytes; enumerate and collisions opt
+    # in with --allow-ten, verify-drs with --max-n 10
+    if args.n == ENUMERATION_GUARD + 1 and not args.allow_ten:
+        raise CliError(f"n={args.n} needs --allow-ten (expect minutes to hours)")
+
+
 def _cmd_enumerate(args) -> int:
-    for g in connected_graphs(
-        args.n, cache_dir=args.cache_dir, threads=args.threads, allow_ten=args.allow_ten,
-    ):
+    _refuse_ten_unless_allowed(args)
+    for g in connected_graphs(args.n, cache_dir=args.cache_dir, threads=args.threads):
         print(to_graph6(g))
     return 0
 
 
 def _cmd_collisions(args) -> int:
-    report = drs.find_collisions(
-        args.n, cache_dir=args.cache_dir, threads=args.threads,
-        allow_ten=args.allow_ten,
-    )
+    _refuse_ten_unless_allowed(args)
+    report = drs.find_collisions(args.n, cache_dir=args.cache_dir, threads=args.threads)
     if args.output == "tsv":
         for a, b, spec in report.pairs:
             print(f"{a}\t{b}\t{spec}")
@@ -288,10 +289,7 @@ def main(argv=None) -> int:
         if getattr(args, "threads", 1) < 1:
             raise CliError("--threads must be >= 1")
         return _DISPATCH[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

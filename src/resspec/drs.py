@@ -133,14 +133,9 @@ def spectra_cache_path(cache_dir: str, n: int) -> str:
     return os.path.join(cache_dir, f"spectra-{n}.tsv")
 
 
-def _load_spectra_cache(cache_dir: str, n: int) -> dict[int, tuple[str, ...]] | None:
-    """The cached runs of SpectrumIndex, or None when absent; bad rows raise."""
-    path = spectra_cache_path(cache_dir, n)
-    if not os.path.exists(path):
-        return None
+def _cached_rows(path: str, n: int):
+    """Yield the (graph6, fingerprint) rows of a spectra cache file; bad rows raise."""
     head, length = chr(63 + n), 1 + (n * (n - 1) // 2 + 5) // 6
-    runs: dict[int, tuple[str, ...]] = {}
-    count = 0
     with open(path, encoding="ascii") as fh:
         lines = fh.read().split("\n")
     for lineno, line in enumerate(lines, 1):
@@ -153,10 +148,14 @@ def _load_spectra_cache(cache_dir: str, n: int) -> dict[int, tuple[str, ...]] | 
             )
         if g6[:1] != head or len(g6) != length:
             raise GraphError(f"{path}:{lineno}: {g6!r} is not a graph6 string of order {n}")
-        key = int(fp, 16)
-        runs[key] = runs.get(key, ()) + (g6,)
-        count += 1
-    check_class_count(path, n, count)
+        yield g6, int(fp, 16)
+
+
+def _group_runs(rows) -> dict[int, tuple[str, ...]]:
+    """The runs of SpectrumIndex from (graph6, fingerprint) rows, each run in row order."""
+    runs: dict[int, tuple[str, ...]] = {}
+    for g6, fp in rows:  # a run is one class unless spectra or fingerprints coincide
+        runs[fp] = runs.get(fp, ()) + (g6,)
     return runs
 
 
@@ -172,23 +171,18 @@ def index_spectra(
     *,
     cache_dir: str | None = None,
     threads: int = 1,
-    allow_ten: bool = False,
 ) -> SpectrumIndex:
     """Partition all connected n-vertex classes by spectrum fingerprint."""
-    runs = None
+    path = spectra_cache_path(cache_dir, n) if cache_dir else None
+    if path and os.path.exists(path):
+        index = SpectrumIndex(n, _group_runs(_cached_rows(path, n)))
+        check_class_count(path, n, index.class_count)
+        return index
+    graphs = list(connected_graphs(n, cache_dir=cache_dir, threads=threads))
+    rows = list(zip(map(to_graph6, graphs), ordered_map(_class_fingerprint, graphs, threads)))
     if cache_dir:
-        runs = _load_spectra_cache(cache_dir, n)
-    if runs is None:
-        graphs = list(connected_graphs(
-            n, cache_dir=cache_dir, threads=threads, allow_ten=allow_ten
-        ))
-        rows = list(zip(map(to_graph6, graphs), ordered_map(_class_fingerprint, graphs, threads)))
-        if cache_dir:
-            _save_spectra_cache(cache_dir, n, rows)
-        runs = {}
-        for g6, fp in rows:  # a run is one class unless spectra or fingerprints coincide
-            runs[fp] = runs.get(fp, ()) + (g6,)
-    return SpectrumIndex(n, runs)
+        _save_spectra_cache(cache_dir, n, rows)
+    return SpectrumIndex(n, _group_runs(rows))
 
 
 @dataclass(frozen=True)
@@ -226,7 +220,6 @@ def verify_drs(
     index: SpectrumIndex | None = None,
     cache_dir: str | None = None,
     threads: int = 1,
-    allow_ten: bool = False,
 ) -> DrsVerdict:
     """Check whether g is the only graph class with its spectrum.
 
@@ -239,9 +232,7 @@ def verify_drs(
     if not is_connected(g):
         raise GraphError("determinability is defined for connected graphs")
     if index is None:
-        index = index_spectra(
-            g.order, cache_dir=cache_dir, threads=threads, allow_ten=allow_ten
-        )
+        index = index_spectra(g.order, cache_dir=cache_dir, threads=threads)
     elif index.order != g.order:
         raise GraphError(f"index is for order {index.order}, graph has {g.order}")
     rm = resistance_matrix(g)
@@ -270,7 +261,6 @@ def verify_targets(
     *,
     cache_dir: str | None = None,
     threads: int = 1,
-    allow_ten: bool = False,
 ) -> list[DrsVerdict]:
     """verify_drs for each target in turn, building each order's index once.
 
@@ -281,9 +271,7 @@ def verify_targets(
     verdicts = []
     for g in graphs:
         if g.order not in indexes and is_connected(g):
-            indexes[g.order] = index_spectra(
-                g.order, cache_dir=cache_dir, threads=threads, allow_ten=allow_ten
-            )
+            indexes[g.order] = index_spectra(g.order, cache_dir=cache_dir, threads=threads)
         verdicts.append(verify_drs(g, index=indexes.get(g.order)))
     return verdicts
 
@@ -299,16 +287,13 @@ def check_theorems(
     *,
     cache_dir: str | None = None,
     threads: int = 1,
-    allow_ten: bool = False,
 ) -> list[DrsVerdict]:
     """Verdicts for every complete bipartite graph with 2..n_max vertices.
 
     Proven-shape instances must come back determined; conjecture-only
     instances are reported however they come out.
     """
-    return verify_targets(
-        theorem_targets(n_max), cache_dir=cache_dir, threads=threads, allow_ten=allow_ten
-    )
+    return verify_targets(theorem_targets(n_max), cache_dir=cache_dir, threads=threads)
 
 
 @dataclass(frozen=True)
@@ -337,10 +322,9 @@ def find_collisions(
     *,
     cache_dir: str | None = None,
     threads: int = 1,
-    allow_ten: bool = False,
 ) -> CollisionReport:
     """All spectrum-sharing class pairs on n vertices, each re-verified."""
-    index = index_spectra(n, cache_dir=cache_dir, threads=threads, allow_ten=allow_ten)
+    index = index_spectra(n, cache_dir=cache_dir, threads=threads)
     pairs = []
     for spec, members in sorted(index.collision_groups().items()):
         for i in range(len(members)):

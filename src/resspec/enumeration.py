@@ -429,25 +429,16 @@ def _connected_level_bits(n: int, threads: int) -> list[int]:
     return children
 
 
-def enumerate_connected(n: int, *, threads: int = 1, allow_ten: bool = False):
+def enumerate_connected(n: int, *, threads: int = 1):
     """Yield one canonical representative per connected isomorphism class.
 
-    Graphs come out in ascending canonical-code order. The default guard
-    stops at 9 vertices; n=10 needs allow_ten=True and patience.
+    Graphs come out in ascending canonical-code order. n=10 is allowed but
+    costly: 11,716,571 classes, about 25 minutes and gigabytes of memory.
     """
-    limit = ENUMERATION_HARD_LIMIT if allow_ten else ENUMERATION_GUARD
-    if not 1 <= n <= limit:
-        raise GraphError(
-            f"enumeration supports 1 <= n <= {limit}"
-            + ("" if allow_ten else " (n=10 needs allow_ten=True, or --allow-ten in the CLI)")
-            + f", got {n}"
-        )
+    if not 1 <= n <= ENUMERATION_HARD_LIMIT:
+        raise GraphError(f"enumeration supports 1 <= n <= {ENUMERATION_HARD_LIMIT}, got {n}")
     for bits in _connected_level_bits(n, threads):
         yield Graph(n, bits)
-
-
-def count_connected(n: int, *, threads: int = 1, allow_ten: bool = False) -> int:
-    return sum(1 for _ in enumerate_connected(n, threads=threads, allow_ten=allow_ten))
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +498,14 @@ def load_connected_cache(cache_dir: str, n: int) -> list[Graph] | None:
 
 
 def connected_graphs(
-    n: int, *, cache_dir: str | None = None, threads: int = 1, allow_ten: bool = False
+    n: int, *, cache_dir: str | None = None, threads: int = 1
 ) -> Iterable[Graph]:
     """Connected classes on n vertices: a list, via the cache directory when
     given; else a generator, so that streaming them never holds them all."""
     if not cache_dir:
-        return enumerate_connected(n, threads=threads, allow_ten=allow_ten)
+        return enumerate_connected(n, threads=threads)
     graphs = load_connected_cache(cache_dir, n)
     if graphs is None:
-        graphs = list(enumerate_connected(n, threads=threads, allow_ten=allow_ten))
+        graphs = list(enumerate_connected(n, threads=threads))
         save_connected_cache(cache_dir, n, graphs)
     return graphs

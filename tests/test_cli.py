@@ -205,15 +205,29 @@ class TestEnumerateCommand:
             "47fbec3f2ba835faf71994ab8a9389aa3d9822cd36515f028c042a4dc003b936"
         )
 
-    def test_guard(self, capsys):
-        code, _, err = run_cli(capsys, "enumerate", "10")
-        assert code == 1 and "allow_ten" in err
-
     @pytest.mark.parametrize("command", ["enumerate", "collisions"])
-    def test_guard_names_the_cli_flag(self, capsys, command):
+    def test_guard_names_the_cli_flag(self, capsys, monkeypatch, command):
+        # the refusal comes before any level or index is built
+        from resspec import drs, enumeration
+
+        def never(*args, **kwargs):
+            raise AssertionError("n=10 work started without --allow-ten")
+
+        monkeypatch.setattr(drs, "index_spectra", never)
+        monkeypatch.setattr(enumeration, "_connected_level_bits", never)
         code, out, err = run_cli(capsys, command, "10")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "--allow-ten" in err
+        assert "allow_ten" not in err
+
+    @pytest.mark.parametrize(
+        "argv", [("enumerate", "0"), ("collisions", "11", "--allow-ten")],
+        ids=["enumerate-0", "collisions-11"],
+    )
+    def test_orders_outside_the_library_range(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert f"enumeration supports 1 <= n <= 10, got {argv[1]}" in err
 
     def test_cache_dir_alone_writes_the_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("RESIST_CACHE_DIR", raising=False)
