@@ -205,6 +205,10 @@ class TestEnumerateCommand:
             "47fbec3f2ba835faf71994ab8a9389aa3d9822cd36515f028c042a4dc003b936"
         )
 
+    def test_guard(self, capsys):
+        code, _, err = run_cli(capsys, "enumerate", "10")
+        assert code == 1 and "n=10 needs --allow-ten" in err
+
     @pytest.mark.parametrize("command", ["enumerate", "collisions"])
     def test_guard_names_the_cli_flag(self, capsys, monkeypatch, command):
         # the refusal comes before any level or index is built
