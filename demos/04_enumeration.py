@@ -37,6 +37,6 @@ with tempfile.TemporaryDirectory() as cache:
     print("  last line:", lines[-1][:50] + "...")
 
 with tempfile.TemporaryDirectory() as cache:
-    first = connected_graphs(6, cache_dir=cache)
-    reloaded = connected_graphs(6, cache_dir=cache)  # second call reads the file
+    first = list(connected_graphs(6, cache_dir=cache))
+    reloaded = list(connected_graphs(6, cache_dir=cache))  # second call reads the file
 print("\ncache round-trip preserves all", len(first), "classes:", reloaded == first)

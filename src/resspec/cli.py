@@ -16,7 +16,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import drs, lemmas
-from .enumeration import ENUMERATION_GUARD, connected_graphs
+from .enumeration import CONNECTED_CLASS_COUNTS, ENUMERATION_GUARD, connected_graphs
 from .graphs import complete_bipartite, parse_graph6, to_graph6
 from .reduction import (
     network_to_text,
@@ -185,8 +185,8 @@ def _print_verdict(verdict: drs.DrsVerdict, output: str) -> None:
 def _cmd_verify_drs(args) -> int:
     if sum(bool(x) for x in (args.kmn, args.graph, args.all)) > 1:
         raise CliError("choose one of --kmn, --graph, --all")
-    if not 1 <= args.max_n <= 10:
-        raise CliError(f"--max-n must be in 1..10, got {args.max_n}")
+    if args.max_n not in CONNECTED_CLASS_COUNTS:
+        raise CliError(f"--max-n must be in 1..{max(CONNECTED_CLASS_COUNTS)}, got {args.max_n}")
     if args.all:
         targets = drs.theorem_targets(args.max_n)
     elif args.kmn:

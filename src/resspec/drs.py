@@ -29,7 +29,7 @@ from .graphs import (
     to_graph6,
 )
 from .enumeration import (
-    canonical_form,
+    are_isomorphic,
     canonical_graph,
     check_class_count,
     connected_graphs,
@@ -160,7 +160,6 @@ def _group_runs(rows) -> dict[int, tuple[str, ...]]:
 
 
 def _save_spectra_cache(cache_dir: str, n: int, rows: list[tuple[str, int]]) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
     write_atomic(
         spectra_cache_path(cache_dir, n), (f"{g6}\t{fp:016x}\n" for g6, fp in rows)
     )
@@ -342,7 +341,7 @@ def _reverify_pair(a6: str, b6: str, spec: str) -> None:
     from the integer runs behind the key, so a fault there cannot confirm itself.
     """
     ga, gb = parse_graph6(a6), parse_graph6(b6)
-    if canonical_form(ga) == canonical_form(gb):
+    if are_isomorphic(ga, gb):
         raise GraphError(f"pair {a6} / {b6} is isomorphic; index is broken")
     sa, sb = (ResistanceSpectrum.from_values(r for *_, r in resistance_matrix(x).pairs())
               for x in (ga, gb))

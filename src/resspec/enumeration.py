@@ -25,19 +25,19 @@ guarantees uniqueness.
 
 from __future__ import annotations
 
+import hashlib
 import os
-from collections.abc import Iterable
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 
-from .graphs import Graph, GraphError, _components, find, parse_graph6, sha256_hex, to_graph6
+from .graphs import Graph, GraphError, _components, find, parse_graph6, to_graph6
 from .parallel import ordered_map
 
 MAX_CANONICAL_ORDER = 16
 ENUMERATION_GUARD = 9
-ENUMERATION_HARD_LIMIT = 10
 
-# OEIS A001349: connected graphs on n unlabelled vertices, n = 1..10
+# OEIS A001349, connected graphs on n unlabelled vertices: the supported orders
 CONNECTED_CLASS_COUNTS = {
     1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117, 9: 261080,
     10: 11716571,
@@ -435,8 +435,8 @@ def enumerate_connected(n: int, *, threads: int = 1):
     Graphs come out in ascending canonical-code order. n=10 is allowed but
     costly: 11,716,571 classes, about 25 minutes and gigabytes of memory.
     """
-    if not 1 <= n <= ENUMERATION_HARD_LIMIT:
-        raise GraphError(f"enumeration supports 1 <= n <= {ENUMERATION_HARD_LIMIT}, got {n}")
+    if n not in CONNECTED_CLASS_COUNTS:
+        raise GraphError(f"enumeration supports 1 <= n <= {max(CONNECTED_CLASS_COUNTS)}, got {n}")
     for bits in _connected_level_bits(n, threads):
         yield Graph(n, bits)
 
@@ -449,7 +449,9 @@ def connected_cache_path(cache_dir: str, n: int) -> str:
 
 
 def write_atomic(path: str, chunks) -> None:
-    """Replace path with the text chunks; readers see the old file or the whole new one."""
+    """Replace path with the text chunks, making its directory if needed;
+    readers see the old file or the whole new one."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
@@ -461,17 +463,19 @@ def write_atomic(path: str, chunks) -> None:
 
 
 def check_class_count(path: str, n: int, count: int) -> None:
-    """Reject a cache whose row count is not the number of classes on n vertices."""
+    """Reject a cache whose order has no known class count or whose row count is not it."""
     want = CONNECTED_CLASS_COUNTS.get(n)
-    if want is not None and count != want:
+    if want is None:
+        raise GraphError(f"{path}: no class count is known for n={n}")
+    if count != want:
         raise GraphError(f"{path}: {count} classes, expected {want} for n={n}")
 
 
 def save_connected_cache(cache_dir: str, n: int, graphs: list[Graph]) -> str:
-    os.makedirs(cache_dir, exist_ok=True)
     payload = "".join(to_graph6(g) + "\n" for g in graphs)
     path = connected_cache_path(cache_dir, n)
-    write_atomic(path, (payload, f"#sha256:{sha256_hex(payload.encode('ascii'))}\n"))
+    digest = hashlib.sha256(payload.encode("ascii")).hexdigest()
+    write_atomic(path, (payload, f"#sha256:{digest}\n"))
     return path
 
 
@@ -486,7 +490,7 @@ def load_connected_cache(cache_dir: str, n: int) -> list[Graph] | None:
         raise GraphError(f"{path}: missing checksum trailer")
     payload = "".join(ln + "\n" for ln in lines[:-1])
     want = lines[-1][len("#sha256:"):]
-    got = sha256_hex(payload.encode("ascii"))
+    got = hashlib.sha256(payload.encode("ascii")).hexdigest()
     if want != got:
         raise GraphError(f"{path}: checksum mismatch ({got} != {want})")
     graphs = [parse_graph6(ln) for ln in lines[:-1]]
@@ -499,13 +503,13 @@ def load_connected_cache(cache_dir: str, n: int) -> list[Graph] | None:
 
 def connected_graphs(
     n: int, *, cache_dir: str | None = None, threads: int = 1
-) -> Iterable[Graph]:
-    """Connected classes on n vertices: a list, via the cache directory when
-    given; else a generator, so that streaming them never holds them all."""
+) -> Iterator[Graph]:
+    """Connected classes on n vertices in canonical-code order: read from, or
+    first written to, the cache directory when given; else streamed, never all held."""
     if not cache_dir:
         return enumerate_connected(n, threads=threads)
     graphs = load_connected_cache(cache_dir, n)
     if graphs is None:
         graphs = list(enumerate_connected(n, threads=threads))
         save_connected_cache(cache_dir, n, graphs)
-    return graphs
+    return iter(graphs)

@@ -9,7 +9,6 @@ so they can be shared freely between workers and used as dict keys.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -334,7 +333,3 @@ def parse_graph6(text: str) -> Graph:
     if bits >> nbits:
         raise Graph6Error("nonzero padding bits", body_len)
     return Graph(n, bits)
-
-
-def sha256_hex(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()

@@ -283,12 +283,12 @@ def _labeled_brute_force_codes(n):
 def test_criterion_5_enumeration_counts(cache_dir):
     t0 = time.perf_counter()
     for n in range(1, 8):
-        generated = connected_graphs(n, cache_dir=cache_dir, threads=THREADS)
+        generated = list(connected_graphs(n, cache_dir=cache_dir, threads=THREADS))
         brute = _labeled_brute_force_codes(n)
         assert len(generated) == CONNECTED_COUNTS[n]
         assert {canonical_form(g) for g in generated} == brute
     for n in (8, 9):
-        generated = connected_graphs(n, cache_dir=cache_dir, threads=THREADS)
+        generated = list(connected_graphs(n, cache_dir=cache_dir, threads=THREADS))
         assert len(generated) == CONNECTED_COUNTS[n]  # published-sequence cross-check
     with open(connected_cache_path(cache_dir, 9), encoding="ascii") as fh:
         trailer = fh.read().splitlines()[-1]

@@ -8,10 +8,26 @@ import sys
 import pytest
 
 from resspec.cli import main
-from resspec.enumeration import enumerate_connected
+from resspec.enumeration import canonical_graph, enumerate_connected
 from resspec.graphs import complete_bipartite, path_graph, to_graph6
+from resspec.resistance import resistance_matrix, spectrum_fingerprint
 
 K23 = to_graph6(complete_bipartite(2, 3))
+
+
+def _with_trailer(payload):
+    return payload + f"#sha256:{hashlib.sha256(payload.encode('ascii')).hexdigest()}\n"
+
+
+def _bogus_cache(name):
+    """A well-formed cache file for an order with no known class count."""
+    k56 = canonical_graph(complete_bipartite(5, 6))
+    fingerprint = spectrum_fingerprint(resistance_matrix(k56))
+    return {
+        "spectra-11.tsv": f"{to_graph6(k56)}\t{fingerprint:016x}\n",
+        "connected-11.g6": _with_trailer(to_graph6(k56) + "\n"),
+        "connected-0.g6": _with_trailer(""),
+    }[name]
 
 
 def run_cli(capsys, *argv):
@@ -225,13 +241,28 @@ class TestEnumerateCommand:
         assert "allow_ten" not in err
 
     @pytest.mark.parametrize(
-        "argv", [("enumerate", "0"), ("collisions", "11", "--allow-ten")],
-        ids=["enumerate-0", "collisions-11"],
+        "argv,cached", [
+            (("enumerate", "0"), None),
+            (("collisions", "11", "--allow-ten"), None),
+            (("collisions", "11"), "spectra-11.tsv"),
+            (("enumerate", "11"), "connected-11.g6"),
+            (("enumerate", "0"), "connected-0.g6"),
+        ],
+        ids=["enumerate-0", "collisions-11", "collisions-11-cached", "enumerate-11-cached",
+             "enumerate-0-cached"],
     )
-    def test_orders_outside_the_library_range(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
+    def test_orders_outside_the_library_range(self, capsys, tmp_path, argv, cached):
+        if cached is None:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == ""
+            assert f"enumeration supports 1 <= n <= 10, got {argv[1]}" in err
+            return
+        # a cache hit must not get past the range check
+        (tmp_path / cached).write_text(_bogus_cache(cached))
+        code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == 1 and out == ""
-        assert f"enumeration supports 1 <= n <= 10, got {argv[1]}" in err
+        assert f"{cached}: no class count is known for n={argv[1]}" in err
+        assert "None" not in err
 
     def test_cache_dir_alone_writes_the_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("RESIST_CACHE_DIR", raising=False)

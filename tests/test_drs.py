@@ -32,7 +32,8 @@ from resspec.graphs import (
     new_graph,
     path_graph,
 )
-from resspec.enumeration import canonical_graph, connected_graphs
+from resspec import enumeration
+from resspec.enumeration import are_isomorphic, canonical_graph, connected_graphs
 from resspec.graphs import parse_graph6, to_graph6
 from resspec.resistance import (
     ResistanceMatrix,
@@ -122,6 +123,7 @@ class TestIndex:
         assert total == 21
 
     def test_cache_files(self, tmp_path):
+        tmp_path = tmp_path / "made" / "on-write"  # the writers make the directory
         idx = index_spectra(4, cache_dir=str(tmp_path))
         assert (tmp_path / "connected-4.g6").exists()
         assert (tmp_path / "spectra-4.tsv").exists()
@@ -152,6 +154,14 @@ class TestIndex:
             fh.writelines(lines[:keep])
         with pytest.raises(GraphError, match=f"spectra-6.tsv: {keep} classes, expected 112"):
             index_spectra(6, cache_dir=str(tmp_path))
+
+    def test_cache_of_an_order_with_no_known_count_rejected(self, tmp_path):
+        # without the cache, order 11 is refused before any work
+        k56 = canonical_graph(complete_bipartite(5, 6))
+        with open(spectra_cache_path(str(tmp_path), 11), "w") as fh:
+            fh.write(f"{to_graph6(k56)}\t{spectrum_fingerprint(resistance_matrix(k56)):016x}\n")
+        with pytest.raises(GraphError, match="spectra-11.tsv: no class count is known for n=11"):
+            verify_drs(complete_bipartite(5, 6), cache_dir=str(tmp_path))
 
     def test_cache_written_atomically(self, tmp_path, monkeypatch):
         idx = index_spectra(4, cache_dir=str(tmp_path))
@@ -272,6 +282,8 @@ class TestVerdicts:
         assert verify_drs(cycle_graph(4), index=idx).determined
         with pytest.raises(GraphError, match="order"):
             verify_drs(path_graph(3), index=idx)
+        with pytest.raises(GraphError, match="target missing from its run"):
+            verify_drs(cycle_graph(4), index=SpectrumIndex(4, {}))
 
     def test_disconnected_rejected(self):
         with pytest.raises(GraphError, match="connected"):
@@ -366,14 +378,32 @@ class TestCollisions:
         doc = report.to_json_dict()
         assert doc == {"order": 4, "pair_count": 0, "pairs": []}
 
-    def test_pairs_reverify(self, cache_dir):
-        # exercise the re-verification path on whatever n=7 yields
-        report = find_collisions(7, cache_dir=cache_dir)
-        for a, b, spec in report.pairs:
-            from resspec.enumeration import are_isomorphic
-            from resspec.graphs import parse_graph6
+    def test_pairs_reverify(self, monkeypatch):
+        # n <= 8 has no pairs, so the known n=9 pair comes through a one-run index
+        a, b = COSPECTRAL_PAIR_9
+        fp = spectrum_fingerprint(resistance_matrix(parse_graph6(a)))
+        monkeypatch.setattr(drs, "index_spectra", lambda n, **kw: SpectrumIndex(n, {fp: (a, b)}))
+        report = find_collisions(9)
+        assert report.pairs == ((a, b, spectrum_json(parse_graph6(a))),)
+        ga, gb = parse_graph6(a), parse_graph6(b)
+        assert not are_isomorphic(ga, gb)
+        assert resistance_spectrum(ga).to_json() == report.pairs[0][2]
+        assert resistance_spectrum(gb).to_json() == report.pairs[0][2]
 
-            ga, gb = parse_graph6(a), parse_graph6(b)
-            assert not are_isomorphic(ga, gb)
-            assert resistance_spectrum(ga).to_json() == spec
-            assert resistance_spectrum(gb).to_json() == spec
+    def test_isomorphic_pair_rejected(self):
+        a, b = to_graph6(path_graph(3)), to_graph6(new_graph(3, [(0, 1), (0, 2)]))
+        assert a != b
+        with pytest.raises(GraphError, match="is isomorphic; index is broken"):
+            drs._reverify_pair(a, b, spectrum_json(path_graph(3)))
+
+    def test_reverify_needs_no_canonical_form(self, monkeypatch):
+        # the pair differs in degree sequence, which settles non-isomorphism
+        a, b = COSPECTRAL_PAIR_9
+        key = spectrum_json(parse_graph6(a))
+
+        def never(g):
+            raise AssertionError("canonical_form called")
+
+        monkeypatch.setattr(drs, "canonical_form", never, raising=False)
+        monkeypatch.setattr(enumeration, "canonical_form", never)
+        drs._reverify_pair(a, b, key)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -36,7 +37,6 @@ from resspec.enumeration import (
     load_connected_cache,
     save_connected_cache,
 )
-from resspec.graphs import sha256_hex
 
 # connected graph classes by vertex count (published sequence)
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117, 9: 261080}
@@ -390,14 +390,23 @@ class TestCache:
     def test_wrong_count_with_valid_checksum_detected(self, tmp_path):
         path = save_connected_cache(str(tmp_path), 5, list(enumerate_connected(5))[:-1])
         payload = "".join(ln + "\n" for ln in open(path).read().splitlines()[:-1])
-        assert f"#sha256:{sha256_hex(payload.encode('ascii'))}" in open(path).read()
+        assert f"#sha256:{hashlib.sha256(payload.encode('ascii')).hexdigest()}" in open(path).read()
         with pytest.raises(GraphError, match="20 classes, expected 21"):
             load_connected_cache(str(tmp_path), 5)
 
+    def test_graph_of_another_order_with_valid_checksum_detected(self, tmp_path):
+        payload = "".join(to_graph6(g) + "\n" for g in enumerate_connected(3))
+        digest = hashlib.sha256(payload.encode("ascii")).hexdigest()
+        (tmp_path / "connected-4.g6").write_text(f"{payload}#sha256:{digest}\n")
+        with pytest.raises(GraphError, match="contains a graph of order 3, expected 4"):
+            load_connected_cache(str(tmp_path), 4)
+
     def test_connected_graphs_uses_cache(self, tmp_path):
-        first = connected_graphs(4, cache_dir=str(tmp_path))
+        first = list(connected_graphs(4, cache_dir=str(tmp_path)))
         assert (tmp_path / "connected-4.g6").exists()
-        assert connected_graphs(4, cache_dir=str(tmp_path)) == first
+        assert list(connected_graphs(4, cache_dir=str(tmp_path))) == first
+        again = connected_graphs(4, cache_dir=str(tmp_path))
+        assert iter(again) is again  # an iterator, as without a cache
 
     def test_connected_graphs_streams_without_a_cache(self):
         # `enumerate 9` would otherwise hold all 261,080 Graph objects at once
