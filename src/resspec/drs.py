@@ -137,10 +137,8 @@ def _cached_rows(path: str, n: int):
     """Yield the (graph6, fingerprint) rows of a spectra cache file; bad rows raise."""
     head, length = chr(63 + n), 1 + (n * (n - 1) // 2 + 5) // 6
     with open(path, encoding="ascii") as fh:
-        lines = fh.read().split("\n")
+        lines = fh.read().splitlines()
     for lineno, line in enumerate(lines, 1):
-        if not line:
-            continue
         g6, tab, fp = line.partition("\t")
         if not tab or len(fp) != 16 or fp.strip("0123456789abcdef"):
             raise GraphError(

@@ -122,7 +122,7 @@ class _CodeSearch:
     """Backtracking minimizer for the color-constrained adjacency bitstring."""
 
     def __init__(self, n: int, masks: list[int], colors: list[int],
-                 bound: list[int] | None = None, autos: list[tuple[int, ...]] = ()):
+                 autos: list[tuple[int, ...]] = ()):
         self.n = n
         self.masks = masks
         self.colors = colors
@@ -131,12 +131,9 @@ class _CodeSearch:
         self.unplaced = set(range(n))
         self.autos: list[tuple[int, ...]] = list(autos)  # genuine, known in advance
         self._auto_set: set[tuple[int, ...]] = set(autos)
-        # a bound acts as an already-complete best: only codes strictly
-        # below it ever record best_placed
-        self.best: list[int] = [_INF] * n if bound is None else list(bound)
-        self.best_placed: list[int] | None = None
-        self.complete = bound is not None
-        self.bound_met = False
+        self.best: list[int] = [_INF] * n
+        self.best_placed: list[int] = []
+        self.complete = False
 
     def _node(self, level: int) -> None:
         n = self.n
@@ -144,8 +141,6 @@ class _CodeSearch:
             if not self.complete:
                 self.best_placed = self.placed.copy()
                 self.complete = True
-            elif self.best_placed is None:
-                self.bound_met = True  # a leaf equal to the bound: see _min_labeling
             elif self.placed != self.best_placed:
                 phi = [0] * n
                 for pos, v in enumerate(self.placed):
@@ -198,8 +193,6 @@ class _CodeSearch:
             self._node(level + 1)
             placed.pop()
             self.unplaced.add(u)
-            if self.bound_met:
-                return
 
 
 def _forced_chunks(n: int, masks: list[int], colors: list[int]) -> tuple[list[int], list[int]]:
@@ -240,8 +233,8 @@ def _twin_autos(n: int, masks: list[int], colors: list[int]) -> list[tuple[int, 
 
 
 def _min_labeling(
-    n: int, masks: list[int], colors: list[int], bound: list[int] | None = None
-) -> tuple[list[int], list[int], list[tuple[int, ...]]] | None:
+    n: int, masks: list[int], colors: list[int]
+) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
     """Minimal chunks, the achieving position->vertex order, and the
     automorphisms known on the way.
 
@@ -262,24 +255,14 @@ def _min_labeling(
     branch is the image of an earlier sibling under an automorphism fixing
     the placed prefix, so the first minimal leaf in candidate order is never
     pruned, and the result does not depend on which automorphisms are known.
-
-    With a bound, None unless the minimal chunks are strictly below it.
-    Precondition: colors and the bound both come from single-vertex marks
-    (_marked_colors) of this graph on the same base colors, and the bound
-    is the minimum for its mark. A leaf equal to the bound is then an
-    automorphism taking this mark to that one, which carries one marked
-    refinement onto the other; so this minimum equals the bound, and the
-    search stops there.
     """
     ncells = len(set(colors))
     twins = _twin_autos(n, masks, colors) if ncells < n else []
     if len(twins) == n - ncells:
         chunks, placed = _forced_chunks(n, masks, colors)  # every cell a twin class, no search
-        return (chunks, placed, twins) if bound is None or chunks < bound else None
-    search = _CodeSearch(n, masks, colors, bound, twins)
+        return chunks, placed, twins
+    search = _CodeSearch(n, masks, colors, twins)
     search._node(0)
-    if search.best_placed is None:
-        return None
     return search.best, search.best_placed, search.autos
 
 
@@ -404,10 +387,9 @@ def _expand_parent(n: int, pbits: int) -> list[int]:
         if any(base_colors[w] < cv for w in rivals):
             continue
         if rivals:
-            bound = _min_labeling(n, masks, _marked_colors(n, masks, base_colors, v))[0]
+            least = _min_labeling(n, masks, _marked_colors(n, masks, base_colors, v))[0]
             if any(
-                _min_labeling(n, masks, _marked_colors(n, masks, base_colors, w), bound)
-                is not None
+                _min_labeling(n, masks, _marked_colors(n, masks, base_colors, w))[0] < least
                 for w in rivals
             ):
                 continue
@@ -480,7 +462,9 @@ def save_connected_cache(cache_dir: str, n: int, graphs: list[Graph]) -> str:
 
 
 def load_connected_cache(cache_dir: str, n: int) -> list[Graph] | None:
-    """Cached class list, or None when absent. Tampered files are rejected."""
+    """Cached class list, or None when absent. Tampered files are rejected, and
+    so are rows not strictly ascending in canonical-code order. Each row's
+    canonicity is not checked: a canonical_form per row costs tens of seconds at n=9."""
     path = connected_cache_path(cache_dir, n)
     if not os.path.exists(path):
         return None
@@ -494,9 +478,11 @@ def load_connected_cache(cache_dir: str, n: int) -> list[Graph] | None:
     if want != got:
         raise GraphError(f"{path}: checksum mismatch ({got} != {want})")
     graphs = [parse_graph6(ln) for ln in lines[:-1]]
-    for g in graphs:
+    for lineno, g in enumerate(graphs, 1):
         if g.order != n:
             raise GraphError(f"{path}: contains a graph of order {g.order}, expected {n}")
+        if lineno > 1 and g.bits <= graphs[lineno - 2].bits:
+            raise GraphError(f"{path}:{lineno}: rows not strictly ascending in canonical-code order")
     check_class_count(path, n, len(graphs))
     return graphs
 

@@ -142,6 +142,15 @@ class TestIndex:
             fh.write("one-column-only\n")
         with pytest.raises(GraphError, match="graph6<TAB>"):
             index_spectra(3, cache_dir=str(tmp_path))
+        # a blank row is malformed too, wherever it stands
+        index_spectra(6, cache_dir=str(tmp_path))
+        path = spectra_cache_path(str(tmp_path), 6)
+        with open(path) as fh:
+            lines = fh.readlines()
+        with open(path, "w") as fh:
+            fh.writelines(lines[:40] + ["\n"] + lines[40:])
+        with pytest.raises(GraphError, match="spectra-6.tsv:41: expected 'graph6<TAB>fingerprint'"):
+            index_spectra(6, cache_dir=str(tmp_path))
 
     @pytest.mark.parametrize("keep", [40, 111])
     def test_truncated_cache_rejected(self, tmp_path, keep):

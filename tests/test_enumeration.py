@@ -120,26 +120,6 @@ class TestCanonicalForm:
         canonical_form(cycle_graph(9))
 
 
-class TestMinLabelingBound:
-    def test_none_exactly_when_the_minimum_is_not_below_the_bound(self):
-        # every pair of marks (a, b) on every class of order <= 6: the code
-        # marked at a against the bound set by the code marked at b
-        discrete_seen = set()
-        for n in range(1, 7):
-            for g in enumerate_connected(n):
-                masks = list(g.adjacency_masks)
-                base = _refine_colors(n, masks, _degree_colors(n, masks))
-                marked = [_marked_colors(n, masks, base, mark) for mark in range(n)]
-                minima = [_min_labeling(n, masks, colors)[0] for colors in marked]
-                for colors, minimum in zip(marked, minima):
-                    discrete_seen.add(len(set(colors)) == n)
-                    for bound in minima:
-                        got = _min_labeling(n, masks, colors, bound)
-                        assert (got is None) == (minimum >= bound)
-                        assert got is None or got[0] == minimum
-        assert discrete_seen == {True, False}  # the forced path and the search
-
-
 class TestRefinement:
     def test_matches_the_signature_oracle_on_every_class_up_to_8(self):
         gapped = 0  # non-discrete marked colorings whose ids skip a value
@@ -189,26 +169,21 @@ class TestOrbitPruning:
         assert skipped
 
 
-def plain_search(n, masks, colors, bound=None):
+def plain_search(n, masks, colors):
     """Reference minimizer: a _CodeSearch that starts knowing no automorphism."""
-    search = _CodeSearch(n, masks, colors, bound)
+    search = _CodeSearch(n, masks, colors)
     search._node(0)
-    return None if search.best_placed is None else (search.best, search.best_placed)
+    return search.best, search.best_placed
 
 
-def assert_matches_plain_search(n, masks, colors, bound=None):
-    got = _min_labeling(n, masks, colors, bound)
-    want = plain_search(n, masks, colors, bound)
-    assert (got is None) == (want is None)
-    if got is None:
-        return None
-    assert (got[0], got[1]) == want
+def assert_matches_plain_search(n, masks, colors):
+    got = _min_labeling(n, masks, colors)
+    assert (got[0], got[1]) == plain_search(n, masks, colors)
     for a in got[2]:
         assert sorted(a) == list(range(n))
         for x in range(n):
             assert colors[a[x]] == colors[x]
             assert masks[a[x]] == sum(1 << a[y] for y in range(n) if (masks[x] >> y) & 1)
-    return got
 
 
 class TestTwinShortcut:
@@ -220,11 +195,8 @@ class TestTwinShortcut:
                 base = _refine_colors(n, masks, _degree_colors(n, masks))
                 assert_matches_plain_search(n, masks, base)
                 marked = [_marked_colors(n, masks, base, mark) for mark in range(n)]
-                # the bound _expand_parent sets: the minimum marked at the last vertex
-                bound = assert_matches_plain_search(n, masks, marked[-1])[0]
                 for colors in marked:
                     assert_matches_plain_search(n, masks, colors)
-                    assert_matches_plain_search(n, masks, colors, bound)
                     if len(_twin_autos(n, masks, colors)) == n - len(set(colors)):
                         shortcut += len(set(colors)) < n
                     else:
@@ -399,6 +371,18 @@ class TestCache:
         digest = hashlib.sha256(payload.encode("ascii")).hexdigest()
         (tmp_path / "connected-4.g6").write_text(f"{payload}#sha256:{digest}\n")
         with pytest.raises(GraphError, match="contains a graph of order 3, expected 4"):
+            load_connected_cache(str(tmp_path), 4)
+
+    @pytest.mark.parametrize("order,line", [
+        ([5, 4, 3, 2, 1, 0], 2),
+        ([0, 2, 2, 3, 4, 5], 3),  # row 2 replaced by a copy of row 3
+    ], ids=["reversed", "repeated"])
+    def test_rows_out_of_canonical_order_with_valid_checksum_detected(self, tmp_path, order, line):
+        rows = [to_graph6(g) + "\n" for g in enumerate_connected(4)]
+        payload = "".join(rows[i] for i in order)
+        digest = hashlib.sha256(payload.encode("ascii")).hexdigest()
+        (tmp_path / "connected-4.g6").write_text(f"{payload}#sha256:{digest}\n")
+        with pytest.raises(GraphError, match=f"connected-4.g6:{line}: rows not strictly ascending"):
             load_connected_cache(str(tmp_path), 4)
 
     def test_connected_graphs_uses_cache(self, tmp_path):
