@@ -105,7 +105,8 @@ class SpectrumIndex:
 
     @cached_property
     def groups(self) -> dict[str, tuple[str, ...]]:
-        """Exact key -> members for every spectrum; re-keys every class."""
+        """Exact key -> members for every spectrum; re-keys every class. Only the
+        benchmark tracer reads it; it goes with ROADMAP item 1's benchmark change."""
         groups = {}
         for members in self.runs.values():
             groups.update(_exact_groups(members))

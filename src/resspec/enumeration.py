@@ -407,6 +407,7 @@ def _connected_level_bits(n: int, threads: int) -> list[int]:
     parents = _connected_level_bits(n - 1, threads)
     per_parent = ordered_map(partial(_expand_parent, n), parents, threads)
     children = sorted(b for part in per_parent for b in part)
+    check_class_count(f"level {n}", n, len(children))
     _LEVEL_CACHE[n] = children
     return children
 
@@ -444,13 +445,13 @@ def write_atomic(path: str, chunks) -> None:
             os.unlink(tmp)
 
 
-def check_class_count(path: str, n: int, count: int) -> None:
-    """Reject a cache whose order has no known class count or whose row count is not it."""
+def check_class_count(source: str, n: int, count: int) -> None:
+    """Reject a level or cache whose order has no known class count or whose size is not it."""
     want = CONNECTED_CLASS_COUNTS.get(n)
     if want is None:
-        raise GraphError(f"{path}: no class count is known for n={n}")
+        raise GraphError(f"{source}: no class count is known for n={n}")
     if count != want:
-        raise GraphError(f"{path}: {count} classes, expected {want} for n={n}")
+        raise GraphError(f"{source}: {count} classes, expected {want} for n={n}")
 
 
 def save_connected_cache(cache_dir: str, n: int, graphs: list[Graph]) -> str:
@@ -477,12 +478,17 @@ def load_connected_cache(cache_dir: str, n: int) -> list[Graph] | None:
     got = hashlib.sha256(payload.encode("ascii")).hexdigest()
     if want != got:
         raise GraphError(f"{path}: checksum mismatch ({got} != {want})")
-    graphs = [parse_graph6(ln) for ln in lines[:-1]]
-    for lineno, g in enumerate(graphs, 1):
+    graphs: list[Graph] = []
+    for lineno, ln in enumerate(lines[:-1], 1):
+        try:
+            g = parse_graph6(ln)
+        except GraphError as exc:
+            raise GraphError(f"{path}:{lineno}: {exc}") from None
         if g.order != n:
-            raise GraphError(f"{path}: contains a graph of order {g.order}, expected {n}")
-        if lineno > 1 and g.bits <= graphs[lineno - 2].bits:
+            raise GraphError(f"{path}:{lineno}: contains a graph of order {g.order}, expected {n}")
+        if graphs and g.bits <= graphs[-1].bits:
             raise GraphError(f"{path}:{lineno}: rows not strictly ascending in canonical-code order")
+        graphs.append(g)
     check_class_count(path, n, len(graphs))
     return graphs
 
@@ -491,7 +497,8 @@ def connected_graphs(
     n: int, *, cache_dir: str | None = None, threads: int = 1
 ) -> Iterator[Graph]:
     """Connected classes on n vertices in canonical-code order: read from, or
-    first written to, the cache directory when given; else streamed, never all held."""
+    first written to, the cache directory when given; else read from the level
+    cache, which keeps every level's bits for the process, one Graph at a time."""
     if not cache_dir:
         return enumerate_connected(n, threads=threads)
     graphs = load_connected_cache(cache_dir, n)

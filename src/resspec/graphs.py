@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-VertexId = int
-
 MAX_GRAPH6_ORDER = 62  # single-byte graph6 size header
 
 

@@ -13,8 +13,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .graphs import Graph, _masks_reach, blocks_and_cut_vertices, delete_vertices
+from .graphs import Graph, blocks_and_cut_vertices, delete_vertices
 from .resistance import (
+    DisconnectedError,
     format_rational,
     parse_rational,
     laplacian_resistance_matrix,
@@ -75,14 +76,6 @@ def new_network(n: int, edges) -> WeightedNetwork:
 def unit_network(g: Graph) -> WeightedNetwork:
     """The graph viewed as a network of unit resistors."""
     return new_network(g.order, [(u, v, Fraction(1)) for u, v in g.edges()])
-
-
-def is_network_connected(net: WeightedNetwork) -> bool:
-    masks = [0] * net.order
-    for u, v, _ in net.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return _masks_reach(masks, (1 << net.order) - 1).bit_count() == net.order
 
 
 def _integer_laplacian(net: WeightedNetwork) -> tuple[list[list[int]], int]:
@@ -236,12 +229,14 @@ def substitute(host, h_vertices, replacement: WeightedNetwork) -> WeightedNetwor
             )
     k = len(terminals)
     induced = _induced_network(host, region)
-    if not is_network_connected(induced):
-        raise ReductionError("induced sub-network is disconnected; resistances undefined")
-    if not is_network_connected(replacement):
-        raise ReductionError("replacement network is disconnected; resistances undefined")
-    want = weighted_resistance_matrix(induced)
-    have = weighted_resistance_matrix(replacement)
+    try:  # the engine is the connectivity gate, the induced sub-network first
+        want = weighted_resistance_matrix(induced)
+    except DisconnectedError:
+        raise ReductionError("induced sub-network is disconnected; resistances undefined") from None
+    try:
+        have = weighted_resistance_matrix(replacement)
+    except DisconnectedError:
+        raise ReductionError("replacement network is disconnected; resistances undefined") from None
     region_pos = {v: i for i, v in enumerate(region)}
     for i, j in combinations(range(k), 2):
         wij = want[region_pos[terminals[i]]][region_pos[terminals[j]]]

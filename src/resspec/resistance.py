@@ -25,7 +25,7 @@ from itertools import combinations
 from math import gcd
 from operator import mul
 
-from .graphs import Graph, GraphError, is_connected
+from .graphs import Graph, GraphError
 
 
 class DisconnectedError(GraphError):
@@ -131,9 +131,10 @@ def resistance_rows(L: list[list[int]], scale: int = 1) -> list[list[Fraction]]:
 
 def spanning_tree_count(g: Graph) -> int:
     """Matrix-tree determinant; 0 exactly when the graph is disconnected."""
-    if not is_connected(g):
+    try:
+        return reduced_adjugate(laplacian(g))[1]
+    except DisconnectedError:
         return 0
-    return reduced_adjugate(laplacian(g))[1]
 
 
 def resistance(g: Graph, u: int, v: int) -> Fraction:

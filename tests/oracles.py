@@ -1,12 +1,13 @@
-"""Brute-force oracles for the tests, independent of the integer adjugate."""
+"""Brute-force oracles for the tests, independent of the integer adjugate,
+and exact_groups, the exact grouping a spectrum index stands for."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
 
-from resspec.graphs import Graph, GraphError, find
-from resspec.resistance import DisconnectedError
+from resspec.graphs import Graph, GraphError, find, parse_graph6
+from resspec.resistance import DisconnectedError, spectrum_json
 
 
 def _union(parent: list[int], a: int, b: int) -> bool:
@@ -52,3 +53,21 @@ def resistance_by_forest_enumeration(g: Graph, u: int, v: int) -> Fraction:
             if find(parent, u) != find(parent, v):
                 separating += 1
     return Fraction(separating, trees)
+
+
+def exact_groups(index) -> dict[str, tuple[str, ...]]:
+    """Exact spectrum key -> graph6 members of a SpectrumIndex, re-keying every class.
+
+    Each group is split from one fingerprint run, in run order; a spectrum
+    found in two runs fails, since a run must hold every class cospectral
+    with any of its members.
+    """
+    groups: dict[str, tuple[str, ...]] = {}
+    for members in index.runs.values():
+        split: dict[str, list[str]] = {}
+        for g6 in members:
+            split.setdefault(spectrum_json(parse_graph6(g6)), []).append(g6)
+        for key, group in split.items():
+            assert key not in groups, f"spectrum {key} lies in two fingerprint runs"
+            groups[key] = tuple(group)
+    return groups

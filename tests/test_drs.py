@@ -42,6 +42,7 @@ from resspec.resistance import (
     spectrum_fingerprint,
     spectrum_json,
 )
+from oracles import exact_groups
 
 
 # a resistance-cospectral pair of non-isomorphic classes on nine vertices
@@ -108,18 +109,18 @@ class TestCompleteBipartiteDetection:
 class TestIndex:
     def test_n2(self):
         idx = index_spectra(2)
-        assert idx.groups == {'[["1",1]]': ("A_",)}
+        assert exact_groups(idx) == {'[["1",1]]': ("A_",)}
 
     def test_n4_no_collisions(self):
         idx = index_spectra(4)
         assert idx.class_count == 6
-        assert len(idx.groups) == 6
+        assert len(exact_groups(idx)) == 6
         assert not idx.collision_groups()
 
     def test_n5_complete_partition(self):
         idx = index_spectra(5)
         assert idx.class_count == 21
-        total = sum(len(v) for v in idx.groups.values())
+        total = sum(len(v) for v in exact_groups(idx).values())
         assert total == 21
 
     def test_cache_files(self, tmp_path):
@@ -128,7 +129,7 @@ class TestIndex:
         assert (tmp_path / "connected-4.g6").exists()
         assert (tmp_path / "spectra-4.tsv").exists()
         again = index_spectra(4, cache_dir=str(tmp_path))
-        assert again.groups == idx.groups
+        assert exact_groups(again) == exact_groups(idx)
         # cache rows are graph6 TAB the fingerprint as 16 lowercase hex digits
         lines = (tmp_path / "spectra-4.tsv").read_text().splitlines()
         assert len(lines) == 6
@@ -187,7 +188,7 @@ class TestIndex:
         assert open(path).read() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["connected-4.g6", "spectra-4.tsv"]
         monkeypatch.undo()
-        assert index_spectra(4, cache_dir=str(tmp_path)).groups == idx.groups
+        assert exact_groups(index_spectra(4, cache_dir=str(tmp_path))) == exact_groups(idx)
 
 
 def _fingerprint_text(text: str) -> int:
@@ -225,7 +226,7 @@ class TestFingerprint:
         k1 = new_graph(1, [])
         idx = index_spectra(1, cache_dir=str(tmp_path))
         assert idx.runs == {_fingerprint_text("1:"): ("@",)}
-        assert idx.groups == {"[]": ("@",)}
+        assert exact_groups(idx) == {"[]": ("@",)}
         assert index_spectra(1, cache_dir=str(tmp_path)) == idx
         verdict = verify_drs(k1, index=idx)
         assert verdict.determined and verdict.spectrum_json == "[]"
@@ -237,7 +238,7 @@ class TestFingerprint:
             for n in range(1, 7):
                 idx = index_spectra(n, threads=1)
                 verdicts = [verify_drs(g, index=idx).to_json() for g in connected_graphs(n)]
-                out.append((idx.groups, find_collisions(n, threads=1), verdicts))
+                out.append((exact_groups(idx), find_collisions(n, threads=1), verdicts))
             return out
 
         before = results()

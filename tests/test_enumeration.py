@@ -325,6 +325,22 @@ class TestEnumeration:
             mod._LEVEL_CACHE.update(saved)
         assert threaded == serial
 
+    def test_generated_level_with_a_missing_class_rejected(self, monkeypatch):
+        # one child dropped per parent: level 5 would hold 15 classes, not 21
+        from resspec import enumeration as mod
+
+        expand = mod._expand_parent
+        monkeypatch.setattr(mod, "_expand_parent", lambda n, pbits: expand(n, pbits)[n == 5:])
+        saved = dict(mod._LEVEL_CACHE)
+        try:
+            mod._LEVEL_CACHE.clear()
+            mod._LEVEL_CACHE[1] = [0]
+            with pytest.raises(GraphError, match="^level 5: 15 classes, expected 21 for n=5$"):
+                list(enumerate_connected(5))
+        finally:
+            mod._LEVEL_CACHE.clear()
+            mod._LEVEL_CACHE.update(saved)
+
 
 class TestCanonicalCode:
     def test_ordering(self):
@@ -370,7 +386,7 @@ class TestCache:
         payload = "".join(to_graph6(g) + "\n" for g in enumerate_connected(3))
         digest = hashlib.sha256(payload.encode("ascii")).hexdigest()
         (tmp_path / "connected-4.g6").write_text(f"{payload}#sha256:{digest}\n")
-        with pytest.raises(GraphError, match="contains a graph of order 3, expected 4"):
+        with pytest.raises(GraphError, match=r"connected-4\.g6:1: contains a graph of order 3, expected 4"):
             load_connected_cache(str(tmp_path), 4)
 
     @pytest.mark.parametrize("order,line", [
@@ -383,6 +399,15 @@ class TestCache:
         digest = hashlib.sha256(payload.encode("ascii")).hexdigest()
         (tmp_path / "connected-4.g6").write_text(f"{payload}#sha256:{digest}\n")
         with pytest.raises(GraphError, match=f"connected-4.g6:{line}: rows not strictly ascending"):
+            load_connected_cache(str(tmp_path), 4)
+
+    def test_bad_row_named_by_file_and_line(self, tmp_path):
+        rows = [to_graph6(g) for g in enumerate_connected(4)]
+        rows[1] = rows[1][:-1]  # row 2 truncated
+        payload = "".join(row + "\n" for row in rows)
+        digest = hashlib.sha256(payload.encode("ascii")).hexdigest()
+        (tmp_path / "connected-4.g6").write_text(f"{payload}#sha256:{digest}\n")
+        with pytest.raises(GraphError, match=r"connected-4\.g6:2: truncated body"):
             load_connected_cache(str(tmp_path), 4)
 
     def test_connected_graphs_uses_cache(self, tmp_path):

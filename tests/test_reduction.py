@@ -9,6 +9,7 @@ from resspec.graphs import (
     add_edge,
     complete_bipartite,
     cycle_graph,
+    is_connected,
     new_graph,
     path_graph,
 )
@@ -17,7 +18,6 @@ from resspec.reduction import (
     SEquivalenceError,
     _integer_laplacian,
     eliminate_block,
-    is_network_connected,
     network_to_text,
     new_network,
     parallel_reduce,
@@ -90,7 +90,7 @@ def _random_connected_multinetwork(rng, n):
                 u, v, _ = rng.choice(edges)
                 edges.append((u, v, F(rng.randint(1, 12), rng.randint(2, 12))))
         net = new_network(n, edges)
-        if is_network_connected(net):
+        if is_connected(new_graph(n, [e[:2] for e in net.edges])):
             return net
 
 
@@ -277,6 +277,24 @@ class TestSubstitute:
         out = substitute(host, [0, 1, 2], new_network(2, [(0, 1, 2)]))
         # survivors 2,3 keep resistance; grafted internal replaces 0,1
         assert weighted_resistance(host, 2, 3) == weighted_resistance(out, 0, 1)
+
+    def test_disconnected_networks_refused_induced_first(self):
+        # path 0-1-2-3: {0, 2} induces no edge, and {0, 1, 3} leaves 3 isolated
+        host = unit_network(path_graph(4))
+        induced = "^induced sub-network is disconnected; resistances undefined$"
+        replacement = "^replacement network is disconnected; resistances undefined$"
+        split2 = new_network(2, [])
+        split3 = new_network(3, [(1, 2, 1)])  # vertex 0 isolated
+        for region, repl, message in [
+            ([0, 2], new_network(2, [(0, 1, 1)]), induced),
+            ([0, 1, 3], new_network(3, [(0, 1, 1), (1, 2, 1)]), induced),
+            ([0, 1], split2, replacement),
+            ([0, 1, 2], split3, replacement),
+            ([0, 2], split2, induced),  # both disconnected: the induced one is named
+            ([0, 1, 3], split3, induced),
+        ]:
+            with pytest.raises(ReductionError, match=message):
+                substitute(host, region, repl)
 
 
 class TestEdgeAdditionIdentity:

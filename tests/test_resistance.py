@@ -184,8 +184,9 @@ class TestAdjugateVsCofactor:
             reduced_adjugate(laplacian(new_graph(4, [(0, 1), (2, 3)])))
 
     def test_adjugate_raises_exactly_on_disconnected_labelled_graphs_up_to_5(self):
-        # the engine is the only connectivity gate of resistance(), the matrix
-        # and the spectrum key, so it must refuse every disconnected graph
+        # the engine is the only connectivity gate of resistance(), the matrix,
+        # the spectrum key and spanning_tree_count, so it must refuse every
+        # disconnected graph, and the tree count is 0 exactly there
         checked = 0
         for n in range(1, 6):
             for bits in range(1 << (n * (n - 1) // 2)):
@@ -196,6 +197,7 @@ class TestAdjugateVsCofactor:
                 except DisconnectedError:
                     raised = True
                 assert raised == (not is_connected(g)), g
+                assert (spanning_tree_count(g) == 0) == (not is_connected(g)), g
                 checked += 1
         assert checked == 1 + 2 + 8 + 64 + 1024
 
