@@ -29,9 +29,10 @@ k22 = complete_bipartite(2, 2)
 print("\nC4 vs K_{2,2}:", "isomorphic" if are_isomorphic(c4, k22) else "different")
 print("their canonical codes match:", canonical_form(c4) == canonical_form(k22))
 
-# Lists persist as graph6 cache files with a checksum trailer.
+# Levels persist as graph6 cache files with a checksum trailer; the writer
+# takes the canonical bits of each class.
 with tempfile.TemporaryDirectory() as cache:
-    path = save_connected_cache(cache, 5, list(enumerate_connected(5)))
+    path = save_connected_cache(cache, 5, [g.bits for g in enumerate_connected(5)])
     lines = open(path).read().splitlines()
     print(f"\ncache file {path.split('/')[-1]}: {len(lines) - 1} graphs + trailer")
     print("  last line:", lines[-1][:50] + "...")

@@ -18,8 +18,9 @@ for n in range(2, 8):
     shared = index.collision_groups()  # exact spectra held by two or more classes
     distinct = index.class_count - sum(len(v) - 1 for v in shared.values())
     crowded = max((len(v) for v in shared.values()), default=1)
+    runs = sum(1 for _ in index.fingerprint_runs())
     print(
-        f"  n={n}: {index.class_count:4d} classes, {len(index.runs):4d} fingerprint "
+        f"  n={n}: {index.class_count:4d} classes, {runs:4d} fingerprint "
         f"runs, {distinct:4d} distinct spectra, largest group {crowded}"
         f"  ({time.time() - t0:.2f}s)"
     )

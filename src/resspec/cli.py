@@ -209,8 +209,8 @@ def _cmd_verify_drs(args) -> int:
 
 
 def _refuse_ten_unless_allowed(args) -> None:
-    # n=10 costs about 25 minutes and gigabytes; enumerate and collisions opt
-    # in with --allow-ten, verify-drs with --max-n 10
+    # n=10 costs about 25 minutes and, projected, about 1 GB; enumerate and
+    # collisions opt in with --allow-ten, verify-drs with --max-n 10
     if args.n == ENUMERATION_GUARD + 1 and not args.allow_ten:
         raise CliError(f"n={args.n} needs --allow-ten (expect minutes to hours)")
 

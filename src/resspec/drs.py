@@ -6,24 +6,29 @@ sharing it is connected with the same vertex count, so the unbounded
 quantifier collapses to the finite one handled here: group every connected
 n-vertex class by its spectrum and look the target up.
 
-The index groups by spectrum_fingerprint, 64 bits per class, and forms
-exact keys (spectrum_json) only where a group is read: equal spectra give
-equal fingerprints, so a fingerprint run holds every class cospectral with
-any of its members, and splitting each run of two or more by exact key
-keeps any fingerprint collision out of every verdict and report.
+The index sorts the classes by spectrum_fingerprint, 64 bits per class,
+and forms exact keys (spectrum_json) only where a run of equal fingerprints
+is read: equal spectra give equal fingerprints, so a run holds every class
+cospectral with any of its members, and splitting each run of two or more
+by exact key keeps any fingerprint collision out of every verdict and report.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .graphs import (
     Graph,
     GraphError,
     complete_bipartite,
+    graph6_width,
     is_connected,
     parse_graph6,
     to_graph6,
@@ -88,33 +93,81 @@ def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class SpectrumIndex:
-    """All connected classes of one order, grouped by spectrum fingerprint.
+    """All connected classes of one order, sorted by spectrum fingerprint.
 
-    runs maps a spectrum_fingerprint to the graph6 strings of the canonical
-    representatives giving it, in canonical-code order. A run holds every
-    class cospectral with any of its members, and a run of two or more is
-    split by exact key wherever it is read.
+    fingerprints holds one spectrum_fingerprint per class, ascending, in one
+    machine-word array; members holds the classes' graph6 strings, each
+    graph6_width(order) characters, in the same order and with no separator.
+    A run, the classes of one fingerprint, is a block of adjacent entries in
+    canonical-code order. A run holds every class cospectral with any of its
+    members, and a run of two or more is split by exact key wherever it is read.
     """
 
     order: int
-    runs: dict[int, tuple[str, ...]]
+    fingerprints: array
+    members: str
+
+    @classmethod
+    def from_rows(cls, n: int, rows) -> SpectrumIndex:
+        """The index of (graph6, fingerprint) rows given in canonical-code order.
+
+        A stable sort on the fingerprint keeps each run in canonical-code order.
+        Positions are first bucketed by the fingerprint's top byte, so the
+        sort holds Python objects for one bucket at a time, never one per class.
+        """
+        unsorted, text = array("Q"), io.StringIO()
+        for g6, fp in rows:
+            unsorted.append(fp)
+            text.write(g6)
+        text, width = text.getvalue(), graph6_width(n)
+        if len(text) != width * len(unsorted):
+            raise GraphError(f"index rows of order {n} need graph6 strings of {width} characters")
+        buckets = [array("I") for _ in range(256)]
+        for i, fp in enumerate(unsorted):
+            buckets[fp >> 56].append(i)
+        fingerprints, members = array("Q"), []
+        for bucket in buckets:
+            order = sorted(bucket, key=unsorted.__getitem__)
+            fingerprints.extend(map(unsorted.__getitem__, order))
+            members.append("".join([text[i * width:(i + 1) * width] for i in order]))
+        return cls(n, fingerprints, "".join(members))
 
     @property
     def class_count(self) -> int:
-        return sum(len(v) for v in self.runs.values())
+        return len(self.fingerprints)
+
+    def _member(self, i: int) -> str:
+        width = graph6_width(self.order)
+        return self.members[i * width:(i + 1) * width]
+
+    def run(self, fp: int) -> tuple[str, ...]:
+        """graph6 of the classes with fingerprint fp, in canonical-code order."""
+        lo = bisect_left(self.fingerprints, fp)
+        hi = bisect_right(self.fingerprints, fp, lo)
+        return tuple(map(self._member, range(lo, hi)))
+
+    def fingerprint_runs(self, min_size: int = 1) -> Iterator[tuple[str, ...]]:
+        """Every run of at least min_size classes, by fingerprint, from one
+        scan of adjacent fingerprints."""
+        fps, lo = self.fingerprints, 0
+        for hi in range(1, len(fps) + 1):
+            if hi == len(fps) or fps[hi] != fps[lo]:
+                if hi - lo >= min_size:
+                    yield tuple(map(self._member, range(lo, hi)))
+                lo = hi
 
     @cached_property
     def groups(self) -> dict[str, tuple[str, ...]]:
         """Exact key -> members for every spectrum; re-keys every class. Only the
         benchmark tracer reads it; it goes with ROADMAP item 1's benchmark change."""
         groups = {}
-        for members in self.runs.values():
+        for members in self.fingerprint_runs():
             groups.update(_exact_groups(members))
         return groups
 
     def collision_groups(self) -> dict[str, tuple[str, ...]]:
         """Exact key -> members for each spectrum two or more classes share."""
-        return {k: v for members in self.runs.values() if len(members) >= 2
+        return {k: v for members in self.fingerprint_runs(min_size=2)
                 for k, v in _exact_groups(members).items() if len(v) >= 2}
 
 
@@ -126,8 +179,8 @@ def _exact_groups(members: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
     return {k: tuple(v) for k, v in groups.items()}
 
 
-def _class_fingerprint(g: Graph) -> int:
-    return spectrum_fingerprint(resistance_matrix(g))
+def _class_fingerprint(n: int, bits: int) -> int:
+    return spectrum_fingerprint(resistance_matrix(Graph(n, bits)))
 
 
 def spectra_cache_path(cache_dir: str, n: int) -> str:
@@ -135,33 +188,35 @@ def spectra_cache_path(cache_dir: str, n: int) -> str:
 
 
 def _cached_rows(path: str, n: int):
-    """Yield the (graph6, fingerprint) rows of a spectra cache file; bad rows raise."""
-    head, length = chr(63 + n), 1 + (n * (n - 1) // 2 + 5) // 6
+    """Yield the (graph6, fingerprint) rows of a spectra cache file as they are
+    read; bad rows raise."""
+    head, width = chr(63 + n), graph6_width(n)
     with open(path, encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    for lineno, line in enumerate(lines, 1):
-        g6, tab, fp = line.partition("\t")
-        if not tab or len(fp) != 16 or fp.strip("0123456789abcdef"):
-            raise GraphError(
-                f"{path}:{lineno}: expected 'graph6<TAB>fingerprint', 16 lowercase hex digits"
-            )
-        if g6[:1] != head or len(g6) != length:
-            raise GraphError(f"{path}:{lineno}: {g6!r} is not a graph6 string of order {n}")
-        yield g6, int(fp, 16)
+        for lineno, line in enumerate(fh, 1):
+            g6, tab, fp = line.rstrip("\n").partition("\t")
+            if not tab or len(fp) != 16 or fp.strip("0123456789abcdef"):
+                raise GraphError(
+                    f"{path}:{lineno}: expected 'graph6<TAB>fingerprint', 16 lowercase hex digits"
+                )
+            if g6[:1] != head or len(g6) != width:
+                raise GraphError(f"{path}:{lineno}: {g6!r} is not a graph6 string of order {n}")
+            yield g6, int(fp, 16)
 
 
-def _group_runs(rows) -> dict[int, tuple[str, ...]]:
-    """The runs of SpectrumIndex from (graph6, fingerprint) rows, each run in row order."""
-    runs: dict[int, tuple[str, ...]] = {}
-    for g6, fp in rows:  # a run is one class unless spectra or fingerprints coincide
-        runs[fp] = runs.get(fp, ()) + (g6,)
-    return runs
-
-
-def _save_spectra_cache(cache_dir: str, n: int, rows: list[tuple[str, int]]) -> None:
+def _save_spectra_cache(cache_dir: str, n: int, rows) -> None:
     write_atomic(
         spectra_cache_path(cache_dir, n), (f"{g6}\t{fp:016x}\n" for g6, fp in rows)
     )
+
+
+def _spectrum_rows(n: int, cache_dir: str | None, threads: int):
+    """Yield (graph6, fingerprint) for every class of order n in canonical-code
+    order. Workers are sent canonical bits and return fingerprints."""
+    graphs = connected_graphs(n, cache_dir=cache_dir, threads=threads)
+    level = array("Q", (g.bits for g in graphs))
+    fingerprints = ordered_map(partial(_class_fingerprint, n), level, threads)
+    for fp, bits in zip(fingerprints, level):  # fingerprints first: its pool ends with it
+        yield to_graph6(Graph(n, bits)), fp
 
 
 def index_spectra(
@@ -170,17 +225,19 @@ def index_spectra(
     cache_dir: str | None = None,
     threads: int = 1,
 ) -> SpectrumIndex:
-    """Partition all connected n-vertex classes by spectrum fingerprint."""
-    path = spectra_cache_path(cache_dir, n) if cache_dir else None
-    if path and os.path.exists(path):
-        index = SpectrumIndex(n, _group_runs(_cached_rows(path, n)))
-        check_class_count(path, n, index.class_count)
-        return index
-    graphs = list(connected_graphs(n, cache_dir=cache_dir, threads=threads))
-    rows = list(zip(map(to_graph6, graphs), ordered_map(_class_fingerprint, graphs, threads)))
-    if cache_dir:
-        _save_spectra_cache(cache_dir, n, rows)
-    return SpectrumIndex(n, _group_runs(rows))
+    """Sort all connected n-vertex classes by spectrum fingerprint.
+
+    With a cache directory, a missing spectra-<n>.tsv is first written row by
+    row as the fingerprints come in, and the index is read from the file.
+    """
+    if not cache_dir:
+        return SpectrumIndex.from_rows(n, _spectrum_rows(n, None, threads))
+    path = spectra_cache_path(cache_dir, n)
+    if not os.path.exists(path):
+        _save_spectra_cache(cache_dir, n, _spectrum_rows(n, cache_dir, threads))
+    index = SpectrumIndex.from_rows(n, _cached_rows(path, n))
+    check_class_count(path, n, index.class_count)
+    return index
 
 
 @dataclass(frozen=True)
@@ -235,7 +292,7 @@ def verify_drs(
         raise GraphError(f"index is for order {index.order}, graph has {g.order}")
     rm = resistance_matrix(g)
     key = spectrum_key(rm)
-    run = index.runs.get(spectrum_fingerprint(rm), ())
+    run = index.run(spectrum_fingerprint(rm))
     me = to_graph6(canonical_graph(g))
     if me not in run:
         raise GraphError("spectrum index is inconsistent: target missing from its run")

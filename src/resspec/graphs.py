@@ -285,6 +285,11 @@ _G6_CHAR = [chr(63 + _reverse6(x)) for x in range(64)]
 _G6_GROUP = [-1] * 63 + [_reverse6(b - 63) for b in range(63, 127)] + [-1]
 
 
+def graph6_width(n: int) -> int:
+    """Length of every graph6 string of order n: a size byte and C(n,2) bits in sixes."""
+    return 1 + (n * (n - 1) // 2 + 5) // 6
+
+
 def to_graph6(g: Graph) -> str:
     if g.order > MAX_GRAPH6_ORDER:
         raise GraphError(

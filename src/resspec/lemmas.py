@@ -71,8 +71,9 @@ def _first(reports) -> CheckReport | None:
     return next((report for report in reports if report), None)
 
 
-# Every witness takes (g, rm, bridges, cuts) from _context and returns the
-# first violation it finds, or None. It compares the integer numerators
+# Every witness takes (g, rm, bridges, cuts) and returns the first violation
+# it finds, or None; bridges and cuts come from _context and are None for
+# the witnesses that never read them. It compares the integer numerators
 # N = rm.nums over the shared denominator rm.det > 0 (each side scaled by
 # det) and builds Fractions only for the witness it returns.
 
@@ -188,8 +189,12 @@ def _context(g: Graph) -> tuple[ResistanceMatrix, frozenset, frozenset[int]]:
     return resistance_matrix(g), bridges, cuts
 
 
-def _check(lemma_id: str, g: Graph) -> CheckReport:
-    return _WITNESSES[lemma_id](g, *_context(g)) or CheckReport(lemma_id, True)
+def _check(lemma_id: str, g: Graph, context=None) -> CheckReport:
+    """One lemma on g. Witnesses that read bridges or cut vertices are given
+    _context(g); the others get the matrix alone, whose engine refuses a
+    disconnected g (DisconnectedError)."""
+    rm, bridges, cuts = context or (resistance_matrix(g), None, None)
+    return _WITNESSES[lemma_id](g, rm, bridges, cuts) or CheckReport(lemma_id, True)
 
 
 def check_triangle(g: Graph) -> CheckReport:
@@ -204,7 +209,7 @@ def check_foster(g: Graph) -> CheckReport:
 
 def check_local_sum(g: Graph, u: int, v: int) -> CheckReport:
     """d(u)*R(u,v) + sum over neighbors z of u of (R(z,u) - R(z,v)) = 2."""
-    rm, _, _ = _context(g)
+    rm = resistance_matrix(g)
     g._check_vertex(u)
     g._check_vertex(v)
     if u == v:
@@ -243,12 +248,12 @@ def check_rayleigh(g: Graph, e: tuple[int, int]) -> CheckReport:
 
 def check_cycle_bound(g: Graph) -> CheckReport:
     """Every edge lying on a cycle has resistance strictly below 1."""
-    return _check("cycle_bound", g)
+    return _check("cycle_bound", g, _context(g))
 
 
 def check_cut_additivity(g: Graph) -> CheckReport:
     """R(u,v) = R(u,w) + R(w,v) whenever the cut vertex w separates u from v."""
-    return _check("cut_additivity", g)
+    return _check("cut_additivity", g, _context(g))
 
 
 # ---------------------------------------------------------------------------

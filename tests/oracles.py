@@ -1,5 +1,6 @@
-"""Brute-force oracles for the tests, independent of the integer adjugate,
-and exact_groups, the exact grouping a spectrum index stands for."""
+"""Brute-force oracles for the tests, independent of the integer adjugate;
+group_runs, the fingerprint grouping a spectrum index stands for; and
+exact_groups, the exact grouping it stands for."""
 
 from __future__ import annotations
 
@@ -55,6 +56,15 @@ def resistance_by_forest_enumeration(g: Graph, u: int, v: int) -> Fraction:
     return Fraction(separating, trees)
 
 
+def group_runs(rows) -> dict[int, tuple[str, ...]]:
+    """Fingerprint -> graph6 members, each run in row order, from (graph6,
+    fingerprint) rows: the dict grouping a spectrum index's runs stand for."""
+    runs: dict[int, tuple[str, ...]] = {}
+    for g6, fp in rows:
+        runs[fp] = runs.get(fp, ()) + (g6,)
+    return runs
+
+
 def exact_groups(index) -> dict[str, tuple[str, ...]]:
     """Exact spectrum key -> graph6 members of a SpectrumIndex, re-keying every class.
 
@@ -63,7 +73,7 @@ def exact_groups(index) -> dict[str, tuple[str, ...]]:
     with any of its members.
     """
     groups: dict[str, tuple[str, ...]] = {}
-    for members in index.runs.values():
+    for members in index.fingerprint_runs():
         split: dict[str, list[str]] = {}
         for g6 in members:
             split.setdefault(spectrum_json(parse_graph6(g6)), []).append(g6)

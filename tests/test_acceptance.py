@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 from resspec.drs import (
@@ -39,6 +40,7 @@ from resspec.graphs import (
     to_graph6,
 )
 from resspec.lemmas import run_all_checks
+from resspec.parallel import ordered_map
 from resspec.reduction import (
     eliminate_block,
     new_network,
@@ -269,13 +271,27 @@ def test_criterion_4_reduction_soundness():
     )
 
 
-def _labeled_brute_force_codes(n):
-    """Canonical codes of every connected labeled graph on n vertices."""
+def _connected_codes(n, labelled):
+    """Canonical codes of the connected graphs among the labelled bits `labelled`."""
     codes = set()
-    for bits in range(1 << (n * (n - 1) // 2)):
+    for bits in labelled:
         g = Graph(n, bits)
         if is_connected(g):
             codes.add(canonical_form(g))
+    return codes
+
+
+def _labeled_brute_force_codes(n):
+    """Canonical codes of every connected labeled graph on n vertices.
+
+    Every labelled graph is checked: the bit range is cut into consecutive
+    blocks, mapped over THREADS workers, and their code sets are united.
+    """
+    total = 1 << (n * (n - 1) // 2)
+    blocks = [range(lo, min(lo + 4096, total)) for lo in range(0, total, 4096)]
+    codes = set()
+    for part in ordered_map(partial(_connected_codes, n), blocks, THREADS):
+        codes |= part
     return codes
 
 

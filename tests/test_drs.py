@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,12 @@ from resspec.graphs import (
     path_graph,
 )
 from resspec import enumeration
-from resspec.enumeration import are_isomorphic, canonical_graph, connected_graphs
+from resspec.enumeration import (
+    are_isomorphic,
+    canonical_graph,
+    connected_graphs,
+    enumerate_connected,
+)
 from resspec.graphs import parse_graph6, to_graph6
 from resspec.resistance import (
     ResistanceMatrix,
@@ -42,7 +48,7 @@ from resspec.resistance import (
     spectrum_fingerprint,
     spectrum_json,
 )
-from oracles import exact_groups
+from oracles import exact_groups, group_runs
 
 
 # a resistance-cospectral pair of non-isomorphic classes on nine vertices
@@ -173,6 +179,20 @@ class TestIndex:
         with pytest.raises(GraphError, match="spectra-11.tsv: no class count is known for n=11"):
             verify_drs(complete_bipartite(5, 6), cache_dir=str(tmp_path))
 
+    def test_build_holds_few_bytes_per_class(self, tmp_path):
+        # a Graph, a row tuple and a dict slot per class came to over 500 B;
+        # two fingerprint arrays, two graph6 texts and the sort's 4-byte
+        # positions come to about 110 B at n=7, fixed costs included
+        list(enumerate_connected(7))  # the level itself is not counted
+        tracemalloc.start()
+        try:
+            index = index_spectra(7, cache_dir=str(tmp_path), threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert index.class_count == 853
+        assert peak / index.class_count < 200
+
     def test_cache_written_atomically(self, tmp_path, monkeypatch):
         idx = index_spectra(4, cache_dir=str(tmp_path))
         path = spectra_cache_path(str(tmp_path), 4)
@@ -213,19 +233,23 @@ class TestFingerprint:
 
     def test_groups_as_the_exact_key_on_every_class_up_to_8(self, cache_dir):
         for n in range(1, 9):
-            by_fp, by_key = {}, {}
+            rows, by_key = [], {}
             for g in connected_graphs(n, cache_dir=cache_dir):
                 g6 = to_graph6(g)
-                by_fp.setdefault(spectrum_fingerprint(resistance_matrix(g)), []).append(g6)
+                rows.append((g6, spectrum_fingerprint(resistance_matrix(g))))
                 by_key.setdefault(spectrum_json(g), []).append(g6)
-            assert sorted(by_fp.values()) == sorted(by_key.values()), n
-            runs = index_spectra(n, cache_dir=cache_dir).runs
-            assert runs == {fp: tuple(v) for fp, v in by_fp.items()}, n
+            runs = group_runs(rows)
+            assert sorted(runs.values()) == sorted(map(tuple, by_key.values())), n
+            # the bisect lookup gives every class the oracle's run, in member order
+            index = index_spectra(n, cache_dir=cache_dir)
+            for _, fp in rows:
+                assert index.run(fp) == runs[fp], n
+            assert list(index.fingerprint_runs()) == [runs[fp] for fp in sorted(runs)], n
 
     def test_order_one(self, tmp_path):
         k1 = new_graph(1, [])
         idx = index_spectra(1, cache_dir=str(tmp_path))
-        assert idx.runs == {_fingerprint_text("1:"): ("@",)}
+        assert idx.class_count == 1 and idx.run(_fingerprint_text("1:")) == ("@",)
         assert exact_groups(idx) == {"[]": ("@",)}
         assert index_spectra(1, cache_dir=str(tmp_path)) == idx
         verdict = verify_drs(k1, index=idx)
@@ -243,7 +267,8 @@ class TestFingerprint:
 
         before = results()
         monkeypatch.setattr(drs, "spectrum_fingerprint", lambda rm: 0)
-        assert list(index_spectra(6, threads=1).runs) == [0]
+        one_run = tuple(map(to_graph6, connected_graphs(6)))
+        assert list(index_spectra(6, threads=1).fingerprint_runs()) == [one_run]
         assert results() == before
 
     def test_parent_format_cache_rejected(self, tmp_path):
@@ -293,7 +318,7 @@ class TestVerdicts:
         with pytest.raises(GraphError, match="order"):
             verify_drs(path_graph(3), index=idx)
         with pytest.raises(GraphError, match="target missing from its run"):
-            verify_drs(cycle_graph(4), index=SpectrumIndex(4, {}))
+            verify_drs(cycle_graph(4), index=SpectrumIndex.from_rows(4, []))
 
     def test_disconnected_rejected(self):
         with pytest.raises(GraphError, match="connected"):
@@ -308,7 +333,7 @@ class TestVerdicts:
         me = to_graph6(canonical_graph(target))
         other = to_graph6(canonical_graph(path_graph(4)))
         fp = spectrum_fingerprint(resistance_matrix(target))
-        index = SpectrumIndex(4, {fp: (me, other)})
+        index = SpectrumIndex.from_rows(4, [(me, fp), (other, fp)])
         # a non-cospectral member of the target's run is split off by its exact key
         assert verify_drs(target, index=index).determined
         # so only a wrong exact key can make it an impostor, and re-verification catches it
@@ -320,7 +345,8 @@ class TestVerdicts:
     def test_cospectral_impostor_is_reported(self):
         a, b = COSPECTRAL_PAIR_9
         key = spectrum_json(parse_graph6(a))
-        index = SpectrumIndex(9, {spectrum_fingerprint(resistance_matrix(parse_graph6(a))): (a, b)})
+        fp = spectrum_fingerprint(resistance_matrix(parse_graph6(a)))
+        index = SpectrumIndex.from_rows(9, [(a, fp), (b, fp)])
         verdict = verify_drs(parse_graph6(a), index=index)
         assert not verdict.determined and verdict.impostors == (b,)
         assert verdict.spectrum_json == key == spectrum_json(parse_graph6(b))
@@ -342,7 +368,8 @@ class TestVerdicts:
         a, b = COSPECTRAL_PAIR_9
         key = spectrum_json(parse_graph6(a))
         assert key == resistance_spectrum(parse_graph6(b)).to_json()
-        index = SpectrumIndex(9, {spectrum_fingerprint(resistance_matrix(parse_graph6(a))): (a, b)})
+        fp = spectrum_fingerprint(resistance_matrix(parse_graph6(a)))
+        index = SpectrumIndex.from_rows(9, [(a, fp), (b, fp)])
         with pytest.raises(GraphError, match="re-verification"):
             verify_drs(parse_graph6(a), index=index)
 
@@ -392,7 +419,8 @@ class TestCollisions:
         # n <= 8 has no pairs, so the known n=9 pair comes through a one-run index
         a, b = COSPECTRAL_PAIR_9
         fp = spectrum_fingerprint(resistance_matrix(parse_graph6(a)))
-        monkeypatch.setattr(drs, "index_spectra", lambda n, **kw: SpectrumIndex(n, {fp: (a, b)}))
+        one_run = SpectrumIndex.from_rows(9, [(a, fp), (b, fp)])
+        monkeypatch.setattr(drs, "index_spectra", lambda n, **kw: one_run)
         report = find_collisions(9)
         assert report.pairs == ((a, b, spectrum_json(parse_graph6(a))),)
         ga, gb = parse_graph6(a), parse_graph6(b)

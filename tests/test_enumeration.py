@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -318,7 +319,7 @@ class TestEnumeration:
         saved = dict(mod._LEVEL_CACHE)
         try:
             mod._LEVEL_CACHE.clear()
-            mod._LEVEL_CACHE[1] = [0]
+            mod._LEVEL_CACHE[1] = array("Q", [0])
             threaded = [to_graph6(g) for g in enumerate_connected(6, threads=2)]
         finally:
             mod._LEVEL_CACHE.clear()
@@ -334,7 +335,7 @@ class TestEnumeration:
         saved = dict(mod._LEVEL_CACHE)
         try:
             mod._LEVEL_CACHE.clear()
-            mod._LEVEL_CACHE[1] = [0]
+            mod._LEVEL_CACHE[1] = array("Q", [0])
             with pytest.raises(GraphError, match="^level 5: 15 classes, expected 21 for n=5$"):
                 list(enumerate_connected(5))
         finally:
@@ -351,22 +352,47 @@ class TestCanonicalCode:
         assert canonical_form(code.graph()) == code
 
 
+def _level(n):
+    return array("Q", (g.bits for g in enumerate_connected(n)))
+
+
 class TestCache:
     def test_roundtrip(self, tmp_path):
-        graphs = list(enumerate_connected(5))
-        save_connected_cache(str(tmp_path), 5, graphs)
-        assert load_connected_cache(str(tmp_path), 5) == graphs
+        level = _level(5)
+        save_connected_cache(str(tmp_path), 5, level)
+        loaded = load_connected_cache(str(tmp_path), 5)
+        assert isinstance(loaded, array) and loaded.typecode == "Q"
+        assert loaded == level
 
     def test_missing_returns_none(self, tmp_path):
         assert load_connected_cache(str(tmp_path), 4) is None
 
     def test_tampering_detected(self, tmp_path):
-        path = save_connected_cache(str(tmp_path), 4, list(enumerate_connected(4)))
+        path = save_connected_cache(str(tmp_path), 4, _level(4))
         lines = open(path).read().splitlines()
         lines[0] = to_graph6(path_graph(4))  # swap in a different graph
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(GraphError, match="checksum"):
+            load_connected_cache(str(tmp_path), 4)
+
+    @pytest.mark.parametrize("row", ["C", "Bw", "C~"], ids=["truncated", "order-3", "repeated"])
+    def test_tampered_bad_row_reported_as_checksum_mismatch(self, tmp_path, row):
+        # rows are parsed as they stream past the hash; a file that fails its
+        # checksum is reported as changed, whatever its rows say
+        path = save_connected_cache(str(tmp_path), 4, _level(4))
+        lines = open(path).read().splitlines()
+        lines[1] = row
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(GraphError, match="checksum mismatch"):
+            load_connected_cache(str(tmp_path), 4)
+
+    def test_trailer_not_last_detected(self, tmp_path):
+        path = save_connected_cache(str(tmp_path), 4, _level(4))
+        with open(path, "a") as fh:
+            fh.write("C~\n")
+        with pytest.raises(GraphError, match="missing checksum trailer"):
             load_connected_cache(str(tmp_path), 4)
 
     def test_missing_trailer_detected(self, tmp_path):
@@ -376,7 +402,7 @@ class TestCache:
             load_connected_cache(str(tmp_path), 2)
 
     def test_wrong_count_with_valid_checksum_detected(self, tmp_path):
-        path = save_connected_cache(str(tmp_path), 5, list(enumerate_connected(5))[:-1])
+        path = save_connected_cache(str(tmp_path), 5, _level(5)[:-1])
         payload = "".join(ln + "\n" for ln in open(path).read().splitlines()[:-1])
         assert f"#sha256:{hashlib.sha256(payload.encode('ascii')).hexdigest()}" in open(path).read()
         with pytest.raises(GraphError, match="20 classes, expected 21"):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from resspec.graphs import (
+    GraphError,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -296,6 +297,45 @@ class TestWitnessMachinery:
         assert code == 2
         assert not lines[0].startswith("0 failures")
         assert lines[1:] and all(ln.startswith("  counterexample: ") for ln in lines[1:])
+
+
+class TestBlockDecomposition:
+    """Only the checks that read bridges or cut vertices decompose the graph."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from resspec import lemmas
+
+        made = []
+        real = lemmas.blocks_and_cut_vertices
+
+        def counting(g):
+            made.append(g)
+            return real(g)
+
+        monkeypatch.setattr(lemmas, "blocks_and_cut_vertices", counting)
+        return made
+
+    FOUR = {
+        "triangle": check_triangle,
+        "foster": check_foster,
+        "local_sum": lambda g: check_local_sum(g, 0, 1),
+        "degree_bound": check_lower_bound,
+    }
+
+    @pytest.mark.parametrize("lemma", sorted(FOUR))
+    def test_four_checks_never_decompose(self, calls, lemma):
+        assert self.FOUR[lemma](PAW).passed
+        assert calls == []
+        # the engine is their connectivity gate
+        with pytest.raises(GraphError, match="connected"):
+            self.FOUR[lemma](new_graph(3, [(0, 1)]))
+        assert calls == []
+
+    @pytest.mark.parametrize("check", [check_cycle_bound, check_cut_additivity])
+    def test_block_readers_decompose_once(self, calls, check):
+        assert check(PAW).passed
+        assert calls == [PAW]
 
 
 class TestSweep:
