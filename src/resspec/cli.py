@@ -239,6 +239,8 @@ def _cmd_collisions(args) -> int:
 
 
 def _cmd_check_lemmas(args) -> int:
+    if not 1 <= args.max_n <= ENUMERATION_GUARD:  # before any level is built
+        raise CliError(f"--max-n must be in 1..{ENUMERATION_GUARD}, got {args.max_n}")
     summary = lemmas.run_all_checks(args.max_n, threads=args.threads)
     if args.output == "human":
         print(

@@ -189,18 +189,20 @@ def spectra_cache_path(cache_dir: str, n: int) -> str:
 
 def _cached_rows(path: str, n: int):
     """Yield the (graph6, fingerprint) rows of a spectra cache file as they are
-    read; bad rows raise."""
-    head, width = chr(63 + n), graph6_width(n)
-    with open(path, encoding="ascii") as fh:
+    read; bad rows raise, and so does a row count other than n's class count.
+    latin-1 gives each byte one character, so the row checks see non-ASCII."""
+    head, width, lineno = chr(63 + n), graph6_width(n), 0
+    with open(path, encoding="latin-1") as fh:
         for lineno, line in enumerate(fh, 1):
             g6, tab, fp = line.rstrip("\n").partition("\t")
             if not tab or len(fp) != 16 or fp.strip("0123456789abcdef"):
                 raise GraphError(
                     f"{path}:{lineno}: expected 'graph6<TAB>fingerprint', 16 lowercase hex digits"
                 )
-            if g6[:1] != head or len(g6) != width:
+            if g6[:1] != head or len(g6) != width or not g6.isascii():
                 raise GraphError(f"{path}:{lineno}: {g6!r} is not a graph6 string of order {n}")
             yield g6, int(fp, 16)
+    check_class_count(path, n, lineno)
 
 
 def _save_spectra_cache(cache_dir: str, n: int, rows) -> None:
@@ -235,9 +237,7 @@ def index_spectra(
     path = spectra_cache_path(cache_dir, n)
     if not os.path.exists(path):
         _save_spectra_cache(cache_dir, n, _spectrum_rows(n, cache_dir, threads))
-    index = SpectrumIndex.from_rows(n, _cached_rows(path, n))
-    check_class_count(path, n, index.class_count)
-    return index
+    return SpectrumIndex.from_rows(n, _cached_rows(path, n))
 
 
 @dataclass(frozen=True)

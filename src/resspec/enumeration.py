@@ -31,6 +31,7 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 from .graphs import Graph, GraphError, _components, find, parse_graph6, to_graph6
 from .parallel import ordered_map
@@ -479,47 +480,41 @@ def save_connected_cache(cache_dir: str, n: int, level) -> str:
 
 
 def load_connected_cache(cache_dir: str, n: int) -> array | None:
-    """Cached level as canonical bits, or None when absent. Tampered files are
-    rejected, and so are rows not strictly ascending in canonical-code order.
-    Rows are hashed and parsed as they are read; a bad row is reported only
-    once the checksum holds. Each row's canonicity is not checked: a
-    canonical_form per row costs tens of seconds at n=9."""
+    """Cached level as canonical bits, or None when absent. The bytes before
+    the trailer are hashed first, so a changed file is reported as changed
+    whatever its rows say; only then are rows parsed, and the first bad or
+    out-of-order one is named by file and line. Each row's canonicity is not
+    checked: a canonical_form per row costs tens of seconds at n=9."""
     path = connected_cache_path(cache_dir, n)
     if not os.path.exists(path):
         return None
-    digest, level = hashlib.sha256(), array("Q")
-    problem = last = None
-    with open(path, encoding="ascii") as fh:
-        # counting from 0, lineno is the 1-based number of `last`, the line
-        # before: a line followed by another is a row, never the trailer
-        for lineno, line in enumerate(fh):
-            if last is not None:
-                digest.update(f"{last}\n".encode("ascii"))
-                problem = problem or _level_row_problem(path, lineno, n, last, level)
-            last = line.rstrip("\n")
-    if last is None or not last.startswith("#sha256:"):
+    digest, rows, last = hashlib.sha256(), 0, b""
+    with open(path, "rb") as fh:
+        for rows, line in enumerate(fh):  # rows ends as the count of lines before the last
+            digest.update(last)
+            last = line
+    if not last.startswith(b"#sha256:"):
         raise GraphError(f"{path}: missing checksum trailer")
-    want, got = last[len("#sha256:"):], digest.hexdigest()
+    want, got = last[len(b"#sha256:"):].rstrip(b"\n").decode("latin-1"), digest.hexdigest()
     if want != got:
         raise GraphError(f"{path}: checksum mismatch ({got} != {want})")
-    if problem:
-        raise GraphError(problem)
+    level = array("Q")
+    # split at "\n" alone, as hashed; latin-1 passes non-ASCII bytes on to parse_graph6
+    with open(path, encoding="latin-1", newline="\n") as fh:
+        for lineno, line in enumerate(islice(fh, rows), 1):
+            try:
+                g = parse_graph6(line.rstrip("\n"))
+            except GraphError as exc:
+                raise GraphError(f"{path}:{lineno}: {exc}") from None
+            if g.order != n:
+                raise GraphError(
+                    f"{path}:{lineno}: contains a graph of order {g.order}, expected {n}")
+            if level and g.bits <= level[-1]:
+                raise GraphError(
+                    f"{path}:{lineno}: rows not strictly ascending in canonical-code order")
+            level.append(g.bits)
     check_class_count(path, n, len(level))
     return level
-
-
-def _level_row_problem(path: str, lineno: int, n: int, row: str, level: array) -> str | None:
-    """Append the row's canonical bits to level, or say what is wrong with the row."""
-    try:
-        g = parse_graph6(row)
-    except GraphError as exc:
-        return f"{path}:{lineno}: {exc}"
-    if g.order != n:
-        return f"{path}:{lineno}: contains a graph of order {g.order}, expected {n}"
-    if level and g.bits <= level[-1]:
-        return f"{path}:{lineno}: rows not strictly ascending in canonical-code order"
-    level.append(g.bits)
-    return None
 
 
 def connected_graphs(

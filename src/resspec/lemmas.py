@@ -209,12 +209,11 @@ def check_foster(g: Graph) -> CheckReport:
 
 def check_local_sum(g: Graph, u: int, v: int) -> CheckReport:
     """d(u)*R(u,v) + sum over neighbors z of u of (R(z,u) - R(z,v)) = 2."""
-    rm = resistance_matrix(g)
     g._check_vertex(u)
     g._check_vertex(v)
     if u == v:
         raise GraphError("local sum check needs two distinct vertices")
-    return _local_sum_at(g, rm, u, v) or CheckReport("local_sum", True)
+    return _local_sum_at(g, resistance_matrix(g), u, v) or CheckReport("local_sum", True)
 
 
 def check_lower_bound(g: Graph) -> CheckReport:
@@ -277,7 +276,7 @@ def run_all_checks(n_max: int, *, threads: int = 1) -> dict:
     stays empty unless the resistance engine itself is broken.
     """
     if not 1 <= n_max <= ENUMERATION_GUARD:
-        raise GraphError(f"--max-n (n_max) must be in 1..{ENUMERATION_GUARD}, got {n_max}")
+        raise GraphError(f"n_max must be in 1..{ENUMERATION_GUARD}, got {n_max}")
     graphs_checked = 0
     failures: list[dict] = []
     fail_counts = {lemma: 0 for lemma in LEMMA_IDS}

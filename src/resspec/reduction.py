@@ -286,5 +286,8 @@ def parse_network(text: str) -> WeightedNetwork:
         parts = ln.split()
         if len(parts) != 3:
             raise ReductionError(f"bad edge line {ln!r}, expected 'u v num/den'")
-        edges.append((int(parts[0]), int(parts[1]), parse_rational(parts[2])))
+        try:
+            edges.append((int(parts[0]), int(parts[1]), parse_rational(parts[2])))
+        except ValueError as exc:
+            raise ReductionError(f"bad edge line {ln!r}: {exc}") from None
     return new_network(n, edges)

@@ -221,6 +221,16 @@ class TestEnumerateCommand:
             "47fbec3f2ba835faf71994ab8a9389aa3d9822cd36515f028c042a4dc003b936"
         )
 
+    def test_non_ascii_byte_in_cache_reported_as_checksum_mismatch(self, capsys, tmp_path):
+        assert run_cli(capsys, "enumerate", "4", "--cache-dir", str(tmp_path))[0] == 0
+        path = tmp_path / "connected-4.g6"
+        data = bytearray(path.read_bytes())
+        data[1] = 0xFF
+        path.write_bytes(bytes(data))
+        code, out, err = run_cli(capsys, "enumerate", "4", "--cache-dir", str(tmp_path))
+        assert code == 1 and out == ""
+        assert "connected-4.g6: checksum mismatch" in err
+
     def test_guard(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "10")
         assert code == 1 and "n=10 needs --allow-ten" in err
@@ -286,6 +296,18 @@ class TestCollisionsCommand:
         code, out, _ = run_cli(capsys, "collisions", "3")
         assert code == 0 and "no resistance-cospectral pairs" in out
 
+    # spectra-5.tsv rows are 21 bytes: byte 22 is in row 2's graph6, byte 30 in its fingerprint
+    @pytest.mark.parametrize("offset", [22, 30], ids=["graph6", "fingerprint"])
+    def test_non_ascii_byte_in_cache_named_by_file_and_line(self, capsys, tmp_path, offset):
+        assert run_cli(capsys, "collisions", "5", "--cache-dir", str(tmp_path))[0] == 0
+        path = tmp_path / "spectra-5.tsv"
+        data = bytearray(path.read_bytes())
+        data[offset] = 0xE9
+        path.write_bytes(bytes(data))
+        code, out, err = run_cli(capsys, "collisions", "5", "--cache-dir", str(tmp_path))
+        assert code == 1 and out == ""
+        assert "spectra-5.tsv:2: " in err
+
 
 class TestCheckLemmasCommand:
     def test_small_sweep(self, capsys):
@@ -308,6 +330,11 @@ class TestCheckLemmasCommand:
         code, _, err = run_cli(capsys, "check-lemmas", "--max-n", max_n)
         assert code == 1 and "--max-n" in err
         assert calls == []
+
+    def test_max_n_out_of_range_names_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "check-lemmas", "--max-n", "10")
+        assert code == 1 and out == ""
+        assert err == "error: --max-n must be in 1..9, got 10\n"
 
 
 class TestReduceCommand:
@@ -332,6 +359,13 @@ class TestReduceCommand:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "reduce", "/nonexistent/net.txt")
         assert code == 1
+
+    def test_bad_vertex_id_names_the_line(self, capsys, tmp_path):
+        net = tmp_path / "net.txt"
+        net.write_text("3 1\nz 2 1\n")
+        code, out, err = run_cli(capsys, "reduce", str(net))
+        assert code == 1 and out == ""
+        assert "bad edge line 'z 2 1'" in err
 
 
 class TestUsageErrors:

@@ -436,6 +436,25 @@ class TestCache:
         with pytest.raises(GraphError, match=r"connected-4\.g6:2: truncated body"):
             load_connected_cache(str(tmp_path), 4)
 
+    def test_non_ascii_byte_reported_as_checksum_mismatch(self, tmp_path):
+        # the checksum is taken over the bytes, before any row is decoded
+        path = save_connected_cache(str(tmp_path), 4, _level(4))
+        data = bytearray(open(path, "rb").read())
+        data[1] = 0xFF
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with pytest.raises(GraphError, match=r"connected-4\.g6: checksum mismatch"):
+            load_connected_cache(str(tmp_path), 4)
+
+    def test_non_ascii_row_with_valid_checksum_named_by_file_and_line(self, tmp_path):
+        rows = [to_graph6(g).encode("ascii") + b"\n" for g in enumerate_connected(4)]
+        rows[2] = b"C\xe9\n"
+        payload = b"".join(rows)
+        digest = hashlib.sha256(payload).hexdigest().encode("ascii")
+        (tmp_path / "connected-4.g6").write_bytes(payload + b"#sha256:" + digest + b"\n")
+        with pytest.raises(GraphError, match=r"connected-4\.g6:3: non-ASCII byte"):
+            load_connected_cache(str(tmp_path), 4)
+
     def test_connected_graphs_uses_cache(self, tmp_path):
         first = list(connected_graphs(4, cache_dir=str(tmp_path)))
         assert (tmp_path / "connected-4.g6").exists()

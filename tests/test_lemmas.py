@@ -68,6 +68,18 @@ class TestLocalSum:
         with pytest.raises(Exception, match="distinct"):
             check_local_sum(path_graph(3), 1, 1)
 
+    @pytest.mark.parametrize("g", [path_graph(3), new_graph(4, [(0, 1)])],
+                             ids=["connected", "disconnected"])
+    def test_bad_vertex_rejected_before_any_matrix(self, monkeypatch, g):
+        # a disconnected graph would otherwise report a disconnection instead
+        from resspec import lemmas
+
+        calls = []
+        monkeypatch.setattr(lemmas, "resistance_matrix", lambda h: calls.append(h))
+        with pytest.raises(GraphError, match="vertex 7 out of range"):
+            check_local_sum(g, 0, 7)
+        assert calls == []
+
 
 class TestLowerBound:
     def test_k4_edge_equality(self):
@@ -354,6 +366,11 @@ class TestSweep:
         for n in range(1, 7):
             for g in enumerate_connected(n):
                 assert lemmas._sweep_graph(g) == []
+
+    @pytest.mark.parametrize("n_max", [0, 10])
+    def test_n_max_out_of_range_names_the_parameter(self, n_max):
+        with pytest.raises(GraphError, match=rf"^n_max must be in 1\.\.9, got {n_max}$"):
+            run_all_checks(n_max)
 
     def test_vacuous_single_vertex(self):
         summary = run_all_checks(1)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -393,3 +394,8 @@ class TestNetworkText:
     def test_bad_edge_line(self):
         with pytest.raises(ReductionError, match="edge line"):
             parse_network("2 1\n0 1\n")
+
+    @pytest.mark.parametrize("line", ["z 2 1", "0 1.5 1", "0 1 x/2", "0 1 1/0"])
+    def test_bad_vertex_or_resistance_names_the_line(self, line):
+        with pytest.raises(ReductionError, match=f"^bad edge line '{re.escape(line)}': "):
+            parse_network(f"3 1\n{line}\n")
