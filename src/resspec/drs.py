@@ -6,11 +6,12 @@ sharing it is connected with the same vertex count, so the unbounded
 quantifier collapses to the finite one handled here: group every connected
 n-vertex class by its spectrum and look the target up.
 
-The index sorts the classes by spectrum_fingerprint, 64 bits per class,
-and forms exact keys (spectrum_json) only where a run of equal fingerprints
-is read: equal spectra give equal fingerprints, so a run holds every class
-cospectral with any of its members, and splitting each run of two or more
-by exact key keeps any fingerprint collision out of every verdict and report.
+The index sorts the classes by graph_fingerprint, 64 bits per class read
+from its canonical bits, and forms exact keys (spectrum_json) only where a
+run of equal fingerprints is read: equal spectra give equal fingerprints,
+so a run holds every class cospectral with any of its members, and
+splitting each run of two or more by exact key keeps any fingerprint
+collision out of every verdict and report.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from functools import cached_property, partial
 from .graphs import (
     Graph,
     GraphError,
+    bits_to_graph6,
     complete_bipartite,
     graph6_width,
     is_connected,
@@ -37,16 +39,15 @@ from .enumeration import (
     are_isomorphic,
     canonical_graph,
     check_class_count,
-    connected_graphs,
+    connected_level,
     write_atomic,
 )
 from .parallel import ordered_map
 from .resistance import (
     ResistanceSpectrum,
+    graph_fingerprint,
     resistance_matrix,
-    spectrum_fingerprint,
     spectrum_json,
-    spectrum_key,
 )
 
 # classification tags for complete bipartite targets, by part-size shape
@@ -180,7 +181,7 @@ def _exact_groups(members: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
 
 
 def _class_fingerprint(n: int, bits: int) -> int:
-    return spectrum_fingerprint(resistance_matrix(Graph(n, bits)))
+    return graph_fingerprint(Graph(n, bits))
 
 
 def spectra_cache_path(cache_dir: str, n: int) -> str:
@@ -213,12 +214,12 @@ def _save_spectra_cache(cache_dir: str, n: int, rows) -> None:
 
 def _spectrum_rows(n: int, cache_dir: str | None, threads: int):
     """Yield (graph6, fingerprint) for every class of order n in canonical-code
-    order. Workers are sent canonical bits and return fingerprints."""
-    graphs = connected_graphs(n, cache_dir=cache_dir, threads=threads)
-    level = array("Q", (g.bits for g in graphs))
+    order, from the level's canonical bits with no Graph per class. Workers
+    are sent canonical bits and return fingerprints."""
+    level = connected_level(n, cache_dir=cache_dir, threads=threads)
     fingerprints = ordered_map(partial(_class_fingerprint, n), level, threads)
     for fp, bits in zip(fingerprints, level):  # fingerprints first: its pool ends with it
-        yield to_graph6(Graph(n, bits)), fp
+        yield bits_to_graph6(n, bits), fp
 
 
 def index_spectra(
@@ -290,9 +291,8 @@ def verify_drs(
         index = index_spectra(g.order, cache_dir=cache_dir, threads=threads)
     elif index.order != g.order:
         raise GraphError(f"index is for order {index.order}, graph has {g.order}")
-    rm = resistance_matrix(g)
-    key = spectrum_key(rm)
-    run = index.run(spectrum_fingerprint(rm))
+    key = spectrum_json(g)
+    run = index.run(graph_fingerprint(g))
     me = to_graph6(canonical_graph(g))
     if me not in run:
         raise GraphError("spectrum index is inconsistent: target missing from its run")

@@ -336,6 +336,17 @@ def _subset_reps(m: int, masks: list[int]) -> list[int]:
     return reps
 
 
+def _neighbour_degrees(mask: int, degs: list[int]) -> list[int]:
+    """The degrees of the vertices in mask, ascending."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(degs[b.bit_length() - 1])
+        mask ^= b
+    out.sort()
+    return out
+
+
 def _expand_parent(n: int, pbits: int) -> list[int]:
     """Accepted children (canonical bits) of one (n-1)-vertex parent.
 
@@ -346,6 +357,16 @@ def _expand_parent(n: int, pbits: int) -> list[int]:
     get the same verdict and the same canonical code, whether or not the
     automorphisms generate the whole group. The dedup dict stays as the
     backstop for isomorphic children the recorded automorphisms miss.
+
+    A child is rejected before it is refined when some same-degree non-cut
+    rival w of the new vertex v has a lexicographically smaller ascending
+    list of neighbour degrees. Between two vertices of one degree that is
+    exactly the first refinement round's signature order: the signature
+    lists minus the neighbour count in each degree cell, smallest degree
+    first, and two equal-length sorted lists first differ at the smallest
+    degree of which one has more neighbours. Every later round keeps the old
+    color as its leading key, so w also ends with a smaller refined color
+    than v, and the full refinement rejects the same child.
     """
     v = n - 1
     out: dict[int, None] = {}  # canonical bits of the accepted children, deduplicated
@@ -382,7 +403,14 @@ def _expand_parent(n: int, pbits: int) -> list[int]:
         masks = [pmasks[u] | (((subset >> u) & 1) << v) for u in range(n - 1)]
         masks.append(subset)
         # ... and among equal-degree non-cut vertices it must carry the
-        # minimal refined color and survive the marked-code comparison
+        # minimal refined color, decided at the first round where it can be,
+        # and survive the marked-code comparison
+        if same_deg:
+            degs = [m.bit_count() for m in masks]
+            mine = _neighbour_degrees(subset, degs)
+            if any(_neighbour_degrees(masks[w], degs) < mine and non_cut(subset, w)
+                   for w in same_deg):
+                continue
         base_colors = _refine_colors(n, masks, _degree_colors(n, masks))
         cv = base_colors[v]
         rivals = [w for w in same_deg if base_colors[w] <= cv and non_cut(subset, w)]
@@ -407,6 +435,8 @@ def _connected_level_bits(n: int, threads: int) -> array:
     """The canonical bits of every class of order n, ascending, one machine word each."""
     if n in _LEVEL_CACHE:
         return _LEVEL_CACHE[n]
+    if n not in CONNECTED_CLASS_COUNTS:
+        raise GraphError(f"enumeration supports 1 <= n <= {max(CONNECTED_CLASS_COUNTS)}, got {n}")
     parents = _connected_level_bits(n - 1, threads)
     children = array("Q")
     for part in ordered_map(partial(_expand_parent, n), parents, threads):
@@ -427,8 +457,6 @@ def enumerate_connected(n: int, *, threads: int = 1):
     in the main process (measured); the same bytes per class project to
     about 1 GB at n=10 (not run).
     """
-    if n not in CONNECTED_CLASS_COUNTS:
-        raise GraphError(f"enumeration supports 1 <= n <= {max(CONNECTED_CLASS_COUNTS)}, got {n}")
     for bits in _connected_level_bits(n, threads):
         yield Graph(n, bits)
 
@@ -517,21 +545,30 @@ def load_connected_cache(cache_dir: str, n: int) -> array | None:
     return level
 
 
-def connected_graphs(
-    n: int, *, cache_dir: str | None = None, threads: int = 1
-) -> Iterator[Graph]:
-    """Connected classes on n vertices in canonical-code order, one Graph at a
-    time: read from, or first written to, the cache directory when given; else
-    from the level cache, which keeps every level's bits for the process.
+def connected_level(n: int, *, cache_dir: str | None = None, threads: int = 1) -> array:
+    """The canonical bits of every connected class on n vertices, ascending:
+    read from, or first written to, the cache directory when given; else the
+    level cache's own array, which keeps every level for the process and
+    which callers must not change.
 
     Either way a level is held as 8 bytes per class, never as a list of
     Graphs: 2.1 MB at n=9 (measured: `collisions 9` peaked at 42.3 MB in the
     main process) and about 94 MB at n=10 (projected, not run).
     """
     if not cache_dir:
-        return enumerate_connected(n, threads=threads)
+        return _connected_level_bits(n, threads)
     level = load_connected_cache(cache_dir, n)
     if level is None:
         level = array("Q", (g.bits for g in enumerate_connected(n, threads=threads)))
         save_connected_cache(cache_dir, n, level)
-    return (Graph(n, bits) for bits in level)
+    return level
+
+
+def connected_graphs(
+    n: int, *, cache_dir: str | None = None, threads: int = 1
+) -> Iterator[Graph]:
+    """Connected classes on n vertices in canonical-code order, one Graph at a
+    time: enumerate_connected, or built from connected_level's cached array."""
+    if not cache_dir:
+        return enumerate_connected(n, threads=threads)
+    return (Graph(n, bits) for bits in connected_level(n, cache_dir=cache_dir, threads=threads))

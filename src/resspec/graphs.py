@@ -291,11 +291,13 @@ def graph6_width(n: int) -> int:
 
 
 def to_graph6(g: Graph) -> str:
-    if g.order > MAX_GRAPH6_ORDER:
-        raise GraphError(
-            f"graph6 output supports order <= {MAX_GRAPH6_ORDER}, got {g.order}"
-        )
-    n, bits = g.order, g.bits
+    return bits_to_graph6(g.order, g.bits)
+
+
+def bits_to_graph6(n: int, bits: int) -> str:
+    """graph6 of the graph on n vertices whose packed triangle is bits, with no Graph built."""
+    if n > MAX_GRAPH6_ORDER:
+        raise GraphError(f"graph6 output supports order <= {MAX_GRAPH6_ORDER}, got {n}")
     # bits above the triangle are zero, so the last group comes zero padded
     groups = range(0, n * (n - 1) // 2, 6)
     return chr(63 + n) + "".join([_G6_CHAR[(bits >> s) & 63] for s in groups])

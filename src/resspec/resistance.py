@@ -10,8 +10,10 @@ one spectrum path, _spectrum_runs, sorts the numerators with one gcd per
 distinct value; spectrum_json writes its runs as text and
 resistance_spectrum builds one Fraction per run. spectrum_fingerprint
 digests the same sorted numerators over their least common denominator
-into 64 bits, equal for equal spectra, which the spectrum index groups by
-before it confirms any shared fingerprint with exact keys.
+into 64 bits, equal for equal spectra. graph_fingerprint gives a graph the
+same 64 bits from the numerators read straight off the adjugate, with no
+matrix built; the spectrum index groups by it before it confirms any
+shared fingerprint with exact keys.
 """
 
 from __future__ import annotations
@@ -60,20 +62,22 @@ def parse_rational(text: str) -> Fraction:
 # integer linear algebra
 
 def laplacian(g: Graph) -> list[list[int]]:
-    """Combinatorial Laplacian L = D - A as a dense integer matrix."""
-    n = g.order
-    masks = g.adjacency_masks
+    """Combinatorial Laplacian L = D - A as a dense integer matrix, read from
+    the packed triangle g.bits one column (a vertex's lower neighbours) at a time."""
+    n, bits = g.order, g.bits
     L = [[0] * n for _ in range(n)]
-    for v in range(n):
-        row = L[v]
-        m = masks[v]
-        deg = 0
-        while m:
-            b = m & -m
-            row[b.bit_length() - 1] = -1
-            deg += 1
-            m ^= b
-        row[v] = deg
+    for j in range(1, n):
+        low = bits & ((1 << j) - 1)
+        bits >>= j
+        if low:
+            Lj = L[j]
+            Lj[j] = low.bit_count()
+            while low:
+                b = low & -low
+                i = b.bit_length() - 1
+                Lj[i] = L[i][j] = -1
+                L[i][i] += 1
+                low ^= b
     return L
 
 
@@ -186,6 +190,19 @@ def laplacian_resistance_matrix(L: list[list[int]]) -> ResistanceMatrix:
     return ResistanceMatrix(len(L), tuple(nums), det)
 
 
+def _pair_numerators(adj: list[list[int]]) -> list[int]:
+    """det * R(u, v) for every pair u < v, in combinations order, read from
+    reduced_adjugate's adjugate as laplacian_resistance_matrix reads it: the
+    last vertex is ground, so its pairs read a_uu alone."""
+    diag = [row[i] for i, row in enumerate(adj)]
+    nums = []
+    for u, row in enumerate(adj):
+        du = diag[u]
+        nums += [du + dv - 2 * a for dv, a in zip(diag[u + 1:], row[u + 1:])]
+        nums.append(du)
+    return nums
+
+
 @dataclass(frozen=True)
 class ResistanceSpectrum:
     """Sorted multiset of pairwise resistances, run-length encoded."""
@@ -260,17 +277,12 @@ def _spectrum_runs(rm: ResistanceMatrix) -> list[tuple[int, int, int]]:
     return runs
 
 
-def spectrum_key(rm: ResistanceMatrix) -> str:
-    """The exact spectrum key of a matrix already built: spectrum_json's text."""
-    return _runs_json(_spectrum_runs(rm))
-
-
 def spectrum_json(g: Graph) -> str:
     """resistance_spectrum(g).to_json(), written from the integer runs.
 
     This is the exact key that confirms a group of the spectrum index.
     """
-    return spectrum_key(resistance_matrix(g))
+    return _runs_json(_spectrum_runs(resistance_matrix(g)))
 
 
 def spectrum_fingerprint(rm: ResistanceMatrix) -> int:
@@ -285,9 +297,22 @@ def spectrum_fingerprint(rm: ResistanceMatrix) -> int:
     spectra may share one; the spectrum index settles every shared
     fingerprint with exact keys, so no exact result rests on the digest.
     """
-    nums = _sorted_numerators(rm)
-    g = gcd(rm.det, *nums)
-    text = f"{rm.det // g}:" + ",".join([str(x // g) for x in nums])
+    return _fingerprint(rm.det, _sorted_numerators(rm))
+
+
+def graph_fingerprint(g: Graph) -> int:
+    """spectrum_fingerprint(resistance_matrix(g)), with the pair numerators
+    read straight from the adjugate and no matrix built."""
+    adj, det = reduced_adjugate(laplacian(g))
+    nums = _pair_numerators(adj)
+    nums.sort()
+    return _fingerprint(det, nums)
+
+
+def _fingerprint(det: int, nums: list[int]) -> int:
+    """The digest of the text "D:M1,M2,..." of the ascending pair numerators nums over det."""
+    g = gcd(det, *nums)
+    text = f"{det // g}:" + ",".join([str(x // g) for x in nums])
     return int.from_bytes(blake2b(text.encode("ascii"), digest_size=8).digest(), "big")
 
 

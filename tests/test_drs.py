@@ -225,6 +225,21 @@ class TestFingerprint:
     def test_canonical_integer_form(self, g, text):
         assert spectrum_fingerprint(resistance_matrix(g)) == _fingerprint_text(text)
 
+    def test_class_fingerprint_from_bits_matches_the_matrix_path(self):
+        # the pair numerators read straight from the adjugate must be the ones
+        # laplacian_resistance_matrix reads, in the same digest text
+        for n in range(1, 8):
+            for g in enumerate_connected(n):
+                want = spectrum_fingerprint(resistance_matrix(g))
+                assert drs._class_fingerprint(n, g.bits) == want, to_graph6(g)
+
+    def test_spectra_file_pinned(self, tmp_path):
+        # a changed digest would orphan every cache built before it
+        index_spectra(7, cache_dir=str(tmp_path))
+        data = (tmp_path / "spectra-7.tsv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "77d696c8239eb7619d1e379b77e433f54009c100687fed22cad61d31d0408887")
+
     def test_reads_the_values_not_the_denominator(self):
         # K3 over its spanning-tree count 3, and the same values over 6
         k3 = resistance_matrix(complete_graph(3))
@@ -266,7 +281,7 @@ class TestFingerprint:
             return out
 
         before = results()
-        monkeypatch.setattr(drs, "spectrum_fingerprint", lambda rm: 0)
+        monkeypatch.setattr(drs, "graph_fingerprint", lambda g: 0)
         one_run = tuple(map(to_graph6, connected_graphs(6)))
         assert list(index_spectra(6, threads=1).fingerprint_runs()) == [one_run]
         assert results() == before

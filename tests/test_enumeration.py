@@ -13,6 +13,7 @@ from resspec.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    delete_vertices,
     is_connected,
     new_graph,
     path_graph,
@@ -26,6 +27,7 @@ from resspec.enumeration import (
     _degree_colors,
     _marked_colors,
     _min_labeling,
+    _neighbour_degrees,
     _refine_colors,
     _subset_reps,
     _twin_autos,
@@ -168,6 +170,42 @@ class TestOrbitPruning:
                         skipped += 1
                         assert canonical_form(child(s)) == canonical_form(child(r))
         assert skipped
+
+
+class TestFirstRoundCut:
+    def test_cut_is_sound_and_fires(self):
+        # every child _expand_parent refines at orders <= 7, rebuilt here with
+        # its degree rule: wherever a same-degree non-cut rival beats v on the
+        # sorted neighbour degrees, the full refinement gives it a smaller color
+        fired = beaten = 0
+        for n in range(2, 8):
+            v = n - 1
+            for parent in enumerate_connected(n - 1):
+                pmasks = list(parent.adjacency_masks)
+                reps = _subset_reps(n - 1, pmasks)
+                for subset in range(1, 1 << (n - 1)):
+                    if reps[subset] != subset:
+                        continue
+                    masks = [m | (((subset >> u) & 1) << v) for u, m in enumerate(pmasks)]
+                    masks.append(subset)
+                    child = Graph(n, parent.bits | (subset << (v * (v - 1) // 2)))
+                    degs = [m.bit_count() for m in masks]
+
+                    def non_cut(w):
+                        return is_connected(delete_vertices(child, [w])[0])
+
+                    if any(degs[w] < degs[v] and non_cut(w) for w in range(v)):
+                        continue  # the degree rule, before any refinement
+                    rivals = [w for w in range(v) if degs[w] == degs[v] and non_cut(w)]
+                    colors = _refine_colors(n, masks, _degree_colors(n, masks))
+                    lost = any(colors[w] < colors[v] for w in rivals)
+                    mine = _neighbour_degrees(masks[v], degs)
+                    cut = any(_neighbour_degrees(masks[w], degs) < mine for w in rivals)
+                    assert lost or not cut, (n, parent, subset)
+                    if n == 7:
+                        fired += cut
+                        beaten += lost
+        assert (fired, beaten) == (307, 338)
 
 
 def plain_search(n, masks, colors):
@@ -378,8 +416,8 @@ class TestCache:
 
     @pytest.mark.parametrize("row", ["C", "Bw", "C~"], ids=["truncated", "order-3", "repeated"])
     def test_tampered_bad_row_reported_as_checksum_mismatch(self, tmp_path, row):
-        # rows are parsed as they stream past the hash; a file that fails its
-        # checksum is reported as changed, whatever its rows say
+        # no row is parsed before the whole file passes its checksum; a file
+        # that fails it is reported as changed, whatever its rows say
         path = save_connected_cache(str(tmp_path), 4, _level(4))
         lines = open(path).read().splitlines()
         lines[1] = row

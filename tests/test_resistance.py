@@ -128,6 +128,25 @@ class TestLaplacian:
         assert all(sum(row) == 0 for row in L)
         assert all(L[i][j] == L[j][i] for i in range(5) for j in range(5))
 
+    @staticmethod
+    def laplacian_from_edges(g):
+        L = [[0] * g.order for _ in range(g.order)]
+        for u, v in g.edges():
+            L[u][v] = L[v][u] = -1
+            L[u][u] += 1
+            L[v][v] += 1
+        return L
+
+    def test_packed_triangle_read_matches_the_edge_list(self):
+        # every class of order <= 6, then random graphs, edgeless ones included
+        graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+        rng = random.Random(20)
+        for n in range(1, 17):
+            graphs.append(new_graph(n, []))
+            graphs += [random_graph(rng, n, p) for p in (0.2, 0.5, 0.8)]
+        for g in graphs:
+            assert laplacian(g) == self.laplacian_from_edges(g), g
+
 
 class TestSpanningTreeCount:
     def test_trees_have_one(self):
