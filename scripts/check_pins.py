@@ -2,11 +2,14 @@
 """Check the pinned command-line outputs against their recorded sha256.
 
 Each pin runs in a fresh process, once with --threads 1 and once with
---threads 2, against the src/ next to this script. RESIST_CACHE_DIR is
-unset, so no cache is read or written. A pin passes when the command exits
-0 and the sha256 of its stdout is the recorded one. Prints one line per
-run and exits 1 if any run fails. The n=9 pins make it take minutes on two
-cores, so it stays out of the test suite.
+--threads 2, against the src/ next to this script, with RESIST_CACHE_DIR
+unset, so no cache is read or written. Each pin whose command takes
+--cache-dir then runs twice more with --threads 2 against one fresh
+temporary cache directory: cold, writing the caches, then warm, reading
+them. A run passes when the command exits 0 and the sha256 of its stdout
+is the recorded one. Prints one line per run and exits 1 if any run fails.
+The n=9 pins make it take minutes on two cores, so it stays out of the
+test suite.
 
     python3 scripts/check_pins.py
 """
@@ -17,6 +20,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -39,6 +43,19 @@ PINS = (
 )
 
 
+def _check(env: dict, argv: list[str], want: str, shown: str) -> bool:
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "resspec.cli", *argv],
+        env=env, cwd=ROOT, stdout=subprocess.PIPE,
+    )
+    got = hashlib.sha256(proc.stdout).hexdigest()
+    ok = proc.returncode == 0 and got == want
+    print(f"{'ok' if ok else 'FAIL'}  {shown}  exit {proc.returncode}"
+          f"  sha256 {got}  {time.perf_counter() - start:.1f} s", flush=True)
+    return ok
+
+
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     env.pop("RESIST_CACHE_DIR", None)
@@ -46,16 +63,13 @@ def main() -> int:
     for args, want in PINS:
         for threads in ("1", "2"):
             argv = [*args, "--threads", threads]
-            start = time.perf_counter()
-            proc = subprocess.run(
-                [sys.executable, "-m", "resspec.cli", *argv],
-                env=env, cwd=ROOT, stdout=subprocess.PIPE,
-            )
-            got = hashlib.sha256(proc.stdout).hexdigest()
-            ok = proc.returncode == 0 and got == want
-            failed += not ok
-            print(f"{'ok' if ok else 'FAIL'}  {' '.join(argv)}  exit {proc.returncode}"
-                  f"  sha256 {got}  {time.perf_counter() - start:.1f} s", flush=True)
+            failed += not _check(env, argv, want, " ".join(argv))
+        if args[0] == "check-lemmas":  # the one pinned command with no --cache-dir
+            continue
+        with tempfile.TemporaryDirectory() as cache:
+            for state in ("cold", "warm"):
+                argv = [*args, "--threads", "2", "--cache-dir", cache]
+                failed += not _check(env, argv, want, " ".join([*argv[:-1], f"({state})"]))
     return 1 if failed else 0
 
 

@@ -141,11 +141,21 @@ class SpectrumIndex:
         width = graph6_width(self.order)
         return self.members[i * width:(i + 1) * width]
 
+    def _run(self, lo: int, hi: int) -> tuple[str, ...]:
+        """Members lo..hi-1, one run. A run of two or more must strictly ascend
+        in canonical bits, or the rows it was built from were out of order."""
+        run = tuple(map(self._member, range(lo, hi)))
+        if len(run) > 1:
+            bits = [parse_graph6(g6).bits for g6 in run]
+            if any(a >= b for a, b in zip(bits, bits[1:])):
+                raise GraphError(f"spectrum index is inconsistent: run {self.fingerprints[lo]:016x}"
+                                 " is not in canonical-code order")
+        return run
+
     def run(self, fp: int) -> tuple[str, ...]:
         """graph6 of the classes with fingerprint fp, in canonical-code order."""
         lo = bisect_left(self.fingerprints, fp)
-        hi = bisect_right(self.fingerprints, fp, lo)
-        return tuple(map(self._member, range(lo, hi)))
+        return self._run(lo, bisect_right(self.fingerprints, fp, lo))
 
     def fingerprint_runs(self, min_size: int = 1) -> Iterator[tuple[str, ...]]:
         """Every run of at least min_size classes, by fingerprint, from one
@@ -154,7 +164,7 @@ class SpectrumIndex:
         for hi in range(1, len(fps) + 1):
             if hi == len(fps) or fps[hi] != fps[lo]:
                 if hi - lo >= min_size:
-                    yield tuple(map(self._member, range(lo, hi)))
+                    yield self._run(lo, hi)
                 lo = hi
 
     @cached_property

@@ -431,13 +431,26 @@ def _expand_parent(n: int, pbits: int) -> list[int]:
 _LEVEL_CACHE: dict[int, array] = {1: array("Q", [0])}
 
 
-def _connected_level_bits(n: int, threads: int) -> array:
-    """The canonical bits of every class of order n, ascending, one machine word each."""
+def connected_level(n: int, *, cache_dir: str | None = None, threads: int = 1) -> array:
+    """The canonical bits of every connected class on n vertices, ascending,
+    one machine word per class.
+
+    With a cache directory the level is read from connected-<n>.g6, or on a
+    miss built through enumerate_connected and written there. Without one it
+    is the level cache's own array, built from level n-1 once per process;
+    that array is shared, and callers must not change it.
+    """
+    if cache_dir:
+        level = load_connected_cache(cache_dir, n)
+        if level is None:
+            level = array("Q", (g.bits for g in enumerate_connected(n, threads=threads)))
+            save_connected_cache(cache_dir, n, level)
+        return level
     if n in _LEVEL_CACHE:
         return _LEVEL_CACHE[n]
     if n not in CONNECTED_CLASS_COUNTS:
         raise GraphError(f"enumeration supports 1 <= n <= {max(CONNECTED_CLASS_COUNTS)}, got {n}")
-    parents = _connected_level_bits(n - 1, threads)
+    parents = connected_level(n - 1, threads=threads)
     children = array("Q")
     for part in ordered_map(partial(_expand_parent, n), parents, threads):
         children.extend(part)
@@ -448,16 +461,9 @@ def _connected_level_bits(n: int, threads: int) -> array:
 
 
 def enumerate_connected(n: int, *, threads: int = 1):
-    """Yield one canonical representative per connected isomorphism class.
-
-    Graphs come out in ascending canonical-code order, built one at a time
-    from the level's bits. n=10 is allowed but costly: 11,716,571 classes and
-    about 25 minutes. Memory: `collisions 9` with 2 workers, which builds
-    every level to 9 and the spectrum index on the last, peaked at 42.3 MB
-    in the main process (measured); the same bytes per class project to
-    about 1 GB at n=10 (not run).
-    """
-    for bits in _connected_level_bits(n, threads):
+    """Yield one canonical representative per connected isomorphism class, in
+    ascending canonical-code order: a Graph view of connected_level(n)."""
+    for bits in connected_level(n, threads=threads):
         yield Graph(n, bits)
 
 
@@ -542,25 +548,6 @@ def load_connected_cache(cache_dir: str, n: int) -> array | None:
                     f"{path}:{lineno}: rows not strictly ascending in canonical-code order")
             level.append(g.bits)
     check_class_count(path, n, len(level))
-    return level
-
-
-def connected_level(n: int, *, cache_dir: str | None = None, threads: int = 1) -> array:
-    """The canonical bits of every connected class on n vertices, ascending:
-    read from, or first written to, the cache directory when given; else the
-    level cache's own array, which keeps every level for the process and
-    which callers must not change.
-
-    Either way a level is held as 8 bytes per class, never as a list of
-    Graphs: 2.1 MB at n=9 (measured: `collisions 9` peaked at 42.3 MB in the
-    main process) and about 94 MB at n=10 (projected, not run).
-    """
-    if not cache_dir:
-        return _connected_level_bits(n, threads)
-    level = load_connected_cache(cache_dir, n)
-    if level is None:
-        level = array("Q", (g.bits for g in enumerate_connected(n, threads=threads)))
-        save_connected_cache(cache_dir, n, level)
     return level
 
 

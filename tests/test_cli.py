@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
 import io
 import json
+import os
+import shutil
 from decimal import getcontext, localcontext
 import subprocess
 import sys
@@ -244,7 +247,7 @@ class TestEnumerateCommand:
             raise AssertionError("n=10 work started without --allow-ten")
 
         monkeypatch.setattr(drs, "index_spectra", never)
-        monkeypatch.setattr(enumeration, "_connected_level_bits", never)
+        monkeypatch.setattr(enumeration, "connected_level", never)
         code, out, err = run_cli(capsys, command, "10")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "--allow-ten" in err
@@ -403,3 +406,102 @@ class TestDeterminism:
         one = subprocess.run(cmd + ["--threads", "1"], capture_output=True, check=True)
         two = subprocess.run(cmd + ["--threads", "2"], capture_output=True, check=True)
         assert one.stdout == two.stdout and len(one.stdout.splitlines()) == 112
+
+
+# The fault matrix: both caches built to order 6, one fault applied to a fresh
+# copy, then each command run on it. A run must exit 1 with an error, or print
+# exactly what it prints on the clean caches.
+FAULT_COMMANDS = {
+    "enumerate": ("enumerate", "6"),
+    "verify-drs": ("verify-drs", "--all", "--max-n", "6", "--output", "json"),
+    "collisions": ("collisions", "6", "--output", "json"),
+}
+# the commands that read each faulted file once both caches exist
+FAULT_READERS = {"connected-6.g6": ("enumerate",), "spectra-6.tsv": ("verify-drs", "collisions")}
+
+
+def _flip_fingerprint_bit(line):
+    g6, fp = line.rstrip(b"\n").split(b"\t")
+    return g6 + b"\t" + b"%016x\n" % (int(fp, 16) ^ 1)
+
+
+def _exchange_fingerprints(a, b):
+    (ga, fa), (gb, fb) = a.split(b"\t"), b.split(b"\t")
+    return [ga + b"\t" + fb, gb + b"\t" + fa]
+
+
+# fault name -> (lines of the file, lines of the same cache at order 5) -> new lines
+CACHE_FAULTS = {
+    "row-dropped": lambda lines, lower: lines[:5] + lines[6:],
+    "row-duplicated": lambda lines, lower: lines[:6] + lines[5:],
+    "rows-swapped": lambda lines, lower: lines[:5] + [lines[6], lines[5]] + lines[7:],
+    "byte-flipped": lambda lines, lower: (
+        lines[:5] + [lines[5][:1] + bytes([lines[5][1] ^ 1]) + lines[5][2:]] + lines[6:]),
+    "trailer-removed": lambda lines, lower: lines[:-1],
+    "cut-mid-row": lambda lines, lower: lines[:50] + [lines[50][:3]],
+    "crlf": lambda lines, lower: [line.replace(b"\n", b"\r\n") for line in lines],
+    "wrong-order": lambda lines, lower: lower,
+    "fingerprint-bit-flipped": lambda lines, lower: (
+        lines[:5] + [_flip_fingerprint_bit(lines[5])] + lines[6:]),
+    "fingerprints-exchanged": lambda lines, lower: (
+        lines[:5] + _exchange_fingerprints(lines[5], lines[6]) + lines[7:]),
+}
+FAULT_CASES = [
+    *(("connected-6.g6", fault) for fault in (
+        "row-dropped", "row-duplicated", "rows-swapped", "byte-flipped", "trailer-removed",
+        "cut-mid-row", "crlf", "wrong-order")),
+    *(("spectra-6.tsv", fault) for fault in (
+        "row-dropped", "row-duplicated", "rows-swapped", "byte-flipped", "cut-mid-row", "crlf",
+        "wrong-order", "fingerprint-bit-flipped", "fingerprints-exchanged")),
+]
+# faults the file's reader must reject, naming the file, in every command that reads it.
+# The spectra cache has no checksum yet: its reader sees the row count and each row's
+# format, reads CRLF as LF, and re-sorts its rows, so the other faults can only be
+# caught where a verdict's target is a changed row
+REJECTED_BY_READER = {
+    *(("connected-6.g6", fault) for fault in CACHE_FAULTS),
+    *(("spectra-6.tsv", fault) for fault in ("row-dropped", "row-duplicated", "cut-mid-row",
+                                              "wrong-order")),
+}
+
+
+def _run_main(argv):
+    # run_cli needs capsys, which a module-scoped fixture cannot take
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def clean_caches(tmp_path_factory):
+    """Both caches built to order 6, and each fault-matrix command's stdout on them."""
+    root = tmp_path_factory.mktemp("clean-caches")
+    outputs = {}
+    for name, argv in FAULT_COMMANDS.items():
+        code, outputs[name], err = _run_main([*argv, "--cache-dir", str(root)])
+        assert code == 0 and err == ""
+    assert {"connected-6.g6", "spectra-6.tsv"} <= set(os.listdir(root))
+    return root, outputs
+
+
+class TestCacheFaultMatrix:
+    @pytest.mark.parametrize("name,fault", FAULT_CASES,
+                             ids=[f"{name.split('-')[0]}-{fault}" for name, fault in FAULT_CASES])
+    def test_fault_fails_loudly_or_changes_nothing(self, tmp_path, clean_caches, name, fault):
+        root, clean = clean_caches
+        shutil.copytree(root, tmp_path, dirs_exist_ok=True)
+        path = tmp_path / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        lower = (tmp_path / name.replace("-6.", "-5.")).read_bytes().splitlines(keepends=True)
+        faulted = b"".join(CACHE_FAULTS[fault](lines, lower))
+        assert faulted != path.read_bytes()
+        path.write_bytes(faulted)
+        for command, argv in FAULT_COMMANDS.items():
+            code, out, err = _run_main([*argv, "--cache-dir", str(tmp_path)])
+            if (name, fault) in REJECTED_BY_READER and command in FAULT_READERS[name]:
+                assert code == 1 and name in err, command
+            if code == 0:
+                assert out == clean[command] and err == "", command
+            else:
+                assert code == 1 and out == "" and err.startswith("error: "), command

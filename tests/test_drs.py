@@ -443,6 +443,29 @@ class TestCollisions:
         assert resistance_spectrum(ga).to_json() == report.pairs[0][2]
         assert resistance_spectrum(gb).to_json() == report.pairs[0][2]
 
+    def test_run_out_of_canonical_order_rejected(self, monkeypatch):
+        # the pair's rows in the wrong order would print as "b a"
+        a, b = COSPECTRAL_PAIR_9
+        fp = spectrum_fingerprint(resistance_matrix(parse_graph6(a)))
+        swapped = SpectrumIndex.from_rows(9, [(b, fp), (a, fp)])
+        message = f"^spectrum index is inconsistent: run {fp:016x} is not in canonical-code order$"
+        with pytest.raises(GraphError, match=message):
+            swapped.run(fp)
+        monkeypatch.setattr(drs, "index_spectra", lambda n, **kw: swapped)
+        with pytest.raises(GraphError, match=message):
+            find_collisions(9)
+
+    def test_swapped_rows_of_one_cached_run_rejected(self, monkeypatch, tmp_path):
+        # one fingerprint for every class puts all of spectra-5.tsv in one run
+        monkeypatch.setattr(drs, "graph_fingerprint", lambda g: 0)
+        assert find_collisions(5, cache_dir=str(tmp_path)).pairs == ()
+        path = tmp_path / "spectra-5.tsv"
+        rows = path.read_text().splitlines(keepends=True)
+        rows[3], rows[4] = rows[4], rows[3]
+        path.write_text("".join(rows))
+        with pytest.raises(GraphError, match="run 0{16} is not in canonical-code order"):
+            find_collisions(5, cache_dir=str(tmp_path))
+
     def test_isomorphic_pair_rejected(self):
         a, b = to_graph6(path_graph(3)), to_graph6(new_graph(3, [(0, 1), (0, 2)]))
         assert a != b
