@@ -102,6 +102,7 @@ class SpectrumIndex:
     A run, the classes of one fingerprint, is a block of adjacent entries in
     canonical-code order. A run holds every class cospectral with any of its
     members, and a run of two or more is split by exact key wherever it is read.
+    spectra-<n>.tsv holds the same entries, one row per class, in this order.
     """
 
     order: int
@@ -198,38 +199,29 @@ def spectra_cache_path(cache_dir: str, n: int) -> str:
     return os.path.join(cache_dir, f"spectra-{n}.tsv")
 
 
-def _cached_rows(path: str, n: int):
-    """Yield the (graph6, fingerprint) rows of a spectra cache file as they are
-    read; bad rows raise, and so does a row count other than n's class count.
-    latin-1 gives each byte one character, so the row checks see non-ASCII."""
-    head, width, lineno = chr(63 + n), graph6_width(n), 0
-    with open(path, encoding="latin-1") as fh:
+def _load_index(path: str, n: int) -> SpectrumIndex:
+    """The index a spectra cache file holds, read row for row with no sort. A bad
+    row, or one whose fingerprint is smaller than the row before, raises naming
+    the file and line, and so does a row count other than n's class count. Lines
+    split at LF alone, and latin-1 gives each byte one character, so the row
+    checks see CR and non-ASCII."""
+    head, width = chr(63 + n), graph6_width(n)
+    fingerprints, members = array("Q"), []
+    with open(path, encoding="latin-1", newline="\n") as fh:
         for lineno, line in enumerate(fh, 1):
             g6, tab, fp = line.rstrip("\n").partition("\t")
             if not tab or len(fp) != 16 or fp.strip("0123456789abcdef"):
-                raise GraphError(
-                    f"{path}:{lineno}: expected 'graph6<TAB>fingerprint', 16 lowercase hex digits"
-                )
+                raise GraphError(f"{path}:{lineno}: expected 'graph6<TAB>fingerprint',"
+                                 " 16 lowercase hex digits")
             if g6[:1] != head or len(g6) != width or not g6.isascii():
                 raise GraphError(f"{path}:{lineno}: {g6!r} is not a graph6 string of order {n}")
-            yield g6, int(fp, 16)
-    check_class_count(path, n, lineno)
-
-
-def _save_spectra_cache(cache_dir: str, n: int, rows) -> None:
-    write_atomic(
-        spectra_cache_path(cache_dir, n), (f"{g6}\t{fp:016x}\n" for g6, fp in rows)
-    )
-
-
-def _spectrum_rows(n: int, cache_dir: str | None, threads: int):
-    """Yield (graph6, fingerprint) for every class of order n in canonical-code
-    order, from the level's canonical bits with no Graph per class. Workers
-    are sent canonical bits and return fingerprints."""
-    level = connected_level(n, cache_dir=cache_dir, threads=threads)
-    fingerprints = ordered_map(partial(_class_fingerprint, n), level, threads)
-    for fp, bits in zip(fingerprints, level):  # fingerprints first: its pool ends with it
-        yield bits_to_graph6(n, bits), fp
+            fp = int(fp, 16)
+            if fingerprints and fp < fingerprints[-1]:
+                raise GraphError(f"{path}:{lineno}: rows not in fingerprint order")
+            fingerprints.append(fp)
+            members.append(g6)
+    check_class_count(path, n, len(fingerprints))
+    return SpectrumIndex(n, fingerprints, "".join(members))
 
 
 def index_spectra(
@@ -240,15 +232,21 @@ def index_spectra(
 ) -> SpectrumIndex:
     """Sort all connected n-vertex classes by spectrum fingerprint.
 
-    With a cache directory, a missing spectra-<n>.tsv is first written row by
-    row as the fingerprints come in, and the index is read from the file.
+    With a cache directory the index is read from spectra-<n>.tsv, or built
+    and then written there, one row per class in the index's order. Workers
+    are sent canonical bits and return fingerprints.
     """
-    if not cache_dir:
-        return SpectrumIndex.from_rows(n, _spectrum_rows(n, None, threads))
-    path = spectra_cache_path(cache_dir, n)
-    if not os.path.exists(path):
-        _save_spectra_cache(cache_dir, n, _spectrum_rows(n, cache_dir, threads))
-    return SpectrumIndex.from_rows(n, _cached_rows(path, n))
+    path = spectra_cache_path(cache_dir, n) if cache_dir else None
+    if path and os.path.exists(path):
+        return _load_index(path, n)
+    level = connected_level(n, cache_dir=cache_dir, threads=threads)
+    fingerprints = ordered_map(partial(_class_fingerprint, n), level, threads)
+    index = SpectrumIndex.from_rows(  # fingerprints first: its pool ends with it
+        n, ((bits_to_graph6(n, bits), fp) for fp, bits in zip(fingerprints, level)))
+    if path:
+        write_atomic(path, (f"{index._member(i)}\t{fp:016x}\n"
+                            for i, fp in enumerate(index.fingerprints)))
+    return index
 
 
 @dataclass(frozen=True)

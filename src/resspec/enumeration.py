@@ -436,11 +436,13 @@ def connected_level(n: int, *, cache_dir: str | None = None, threads: int = 1) -
     one machine word per class.
 
     With a cache directory the level is read from connected-<n>.g6, or on a
-    miss built through enumerate_connected and written there. Without one it
-    is the level cache's own array, built from level n-1 once per process;
-    that array is shared, and callers must not change it.
+    miss built through enumerate_connected and written there; the directory
+    is made first, so a path that is not a directory fails before any build.
+    Without one it is the level cache's own array, built from level n-1 once
+    per process; that array is shared, and callers must not change it.
     """
     if cache_dir:
+        os.makedirs(cache_dir, exist_ok=True)
         level = load_connected_cache(cache_dir, n)
         if level is None:
             level = array("Q", (g.bits for g in enumerate_connected(n, threads=threads)))

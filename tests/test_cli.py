@@ -288,6 +288,24 @@ class TestEnumerateCommand:
         code, out, _ = run_cli(capsys, "enumerate", "4")
         assert code == 0 and (tmp_path / "connected-4.g6").exists()
 
+    @pytest.mark.parametrize("argv", [("enumerate", "8"), ("verify-drs", "--kmn", "4", "4"),
+                                      ("collisions", "8")], ids=lambda argv: argv[0])
+    def test_cache_dir_that_is_a_file_rejected_before_any_level(self, capsys, tmp_path,
+                                                                 monkeypatch, argv):
+        from array import array
+        from resspec import enumeration
+
+        def never(*args):
+            raise AssertionError("a level was built for a --cache-dir that is a file")
+
+        monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {1: array("Q", [0])})
+        monkeypatch.setattr(enumeration, "_expand_parent", never)
+        path = tmp_path / "not-a-directory"
+        path.write_text("")
+        code, out, err = run_cli(capsys, *argv, "--cache-dir", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "File exists" in err and str(path) in err
+
 
 class TestCollisionsCommand:
     def test_empty_at_four(self, capsys):
@@ -455,13 +473,15 @@ FAULT_CASES = [
         "wrong-order", "fingerprint-bit-flipped", "fingerprints-exchanged")),
 ]
 # faults the file's reader must reject, naming the file, in every command that reads it.
-# The spectra cache has no checksum yet: its reader sees the row count and each row's
-# format, reads CRLF as LF, and re-sorts its rows, so the other faults can only be
-# caught where a verdict's target is a changed row
+# The spectra cache has no checksum yet: its reader checks the row count, each row's
+# format with lines split at LF alone, and that no row's fingerprint is smaller than
+# the row before, so a flipped graph6 byte or fingerprint bit that keeps that order
+# can only be caught where a verdict's target is a changed row
 REJECTED_BY_READER = {
     *(("connected-6.g6", fault) for fault in CACHE_FAULTS),
-    *(("spectra-6.tsv", fault) for fault in ("row-dropped", "row-duplicated", "cut-mid-row",
-                                              "wrong-order")),
+    *(("spectra-6.tsv", fault) for fault in ("row-dropped", "row-duplicated", "rows-swapped",
+                                              "cut-mid-row", "crlf", "wrong-order",
+                                              "fingerprints-exchanged")),
 }
 
 

@@ -27,6 +27,7 @@ from resspec.drs import (
 )
 from resspec.graphs import (
     GraphError,
+    bits_to_graph6,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -203,7 +204,7 @@ class TestIndex:
 
         monkeypatch.setattr("os.replace", fail)
         with pytest.raises(OSError, match="disk full"):
-            drs._save_spectra_cache(str(tmp_path), 4, [("C~", 0)])
+            drs.write_atomic(path, ["C~\t0000000000000000\n"])
         # the old file is intact and no temp file is left behind
         assert open(path).read() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["connected-4.g6", "spectra-4.tsv"]
@@ -238,6 +239,12 @@ class TestFingerprint:
         index_spectra(7, cache_dir=str(tmp_path))
         data = (tmp_path / "spectra-7.tsv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
+            "8ce2faa2f32eb46f4f72ad893d7647c248ea8a1a92a2da633cc1fae23d67a89d")
+        # the same rows in canonical-code order are the bytes pinned before the
+        # file held the index's order, so no fingerprint moved
+        rows = sorted(data.splitlines(keepends=True),
+                      key=lambda row: parse_graph6(row.split(b"\t")[0].decode()).bits)
+        assert hashlib.sha256(b"".join(rows)).hexdigest() == (
             "77d696c8239eb7619d1e379b77e433f54009c100687fed22cad61d31d0408887")
 
     def test_reads_the_values_not_the_denominator(self):
@@ -293,6 +300,16 @@ class TestFingerprint:
         with open(spectra_cache_path(str(tmp_path), 6), "w") as fh:
             fh.writelines(rows)
         with pytest.raises(GraphError, match="spectra-6.tsv:1: expected 'graph6<TAB>fingerprint'"):
+            index_spectra(6, cache_dir=str(tmp_path))
+
+    def test_cache_in_canonical_code_order_rejected(self, tmp_path):
+        # the row order of a cache written before the file held the index itself
+        rows = [(bits_to_graph6(6, bits), drs._class_fingerprint(6, bits))
+                for bits in enumeration.connected_level(6)]
+        assert rows != sorted(rows, key=lambda row: row[1])
+        with open(spectra_cache_path(str(tmp_path), 6), "w") as fh:
+            fh.writelines(f"{g6}\t{fp:016x}\n" for g6, fp in rows)
+        with pytest.raises(GraphError, match=r"spectra-6\.tsv:\d+: rows not in fingerprint order"):
             index_spectra(6, cache_dir=str(tmp_path))
 
     def test_row_of_the_wrong_order_rejected(self, tmp_path):
