@@ -7,7 +7,10 @@ unset, so no cache is read or written. Each pin whose command takes
 --cache-dir then runs twice more with --threads 2 against one fresh
 temporary cache directory: cold, writing the caches, then warm, reading
 them. A run passes when the command exits 0 and the sha256 of its stdout
-is the recorded one. Prints one line per run and exits 1 if any run fails.
+is the recorded one. After each cold run, a spectra-9.tsv in the cache
+directory must have its recorded sha256 too, which pins the row order of
+the index, ties included. Prints one line per run and per file checked and
+exits 1 if any fails.
 The n=9 pins make it take minutes on two cores, so it stays out of the
 test suite.
 
@@ -42,6 +45,9 @@ PINS = (
      "ff2069013aebd88e4b1e50c7d5c8329987a784b70e68530c3f1ddd9ced8bd3a8"),
 )
 
+# the spectra-9.tsv a cold run writes: the index's own row order, ties included
+SPECTRA_9 = "0c9bb2901369ff7a4c01fc185cd204e009f6bc461e0f5c39e3af1ea1d7dbe0c4"
+
 
 def _check(env: dict, argv: list[str], want: str, shown: str) -> bool:
     start = time.perf_counter()
@@ -53,6 +59,17 @@ def _check(env: dict, argv: list[str], want: str, shown: str) -> bool:
     ok = proc.returncode == 0 and got == want
     print(f"{'ok' if ok else 'FAIL'}  {shown}  exit {proc.returncode}"
           f"  sha256 {got}  {time.perf_counter() - start:.1f} s", flush=True)
+    return ok
+
+
+def _check_spectra_9(cache: str, shown: str) -> bool:
+    path = os.path.join(cache, "spectra-9.tsv")
+    if not os.path.exists(path):
+        return True
+    with open(path, "rb") as fh:
+        got = hashlib.sha256(fh.read()).hexdigest()
+    ok = got == SPECTRA_9
+    print(f"{'ok' if ok else 'FAIL'}  spectra-9.tsv after {shown}  sha256 {got}", flush=True)
     return ok
 
 
@@ -69,7 +86,10 @@ def main() -> int:
         with tempfile.TemporaryDirectory() as cache:
             for state in ("cold", "warm"):
                 argv = [*args, "--threads", "2", "--cache-dir", cache]
-                failed += not _check(env, argv, want, " ".join([*argv[:-1], f"({state})"]))
+                shown = " ".join([*argv[:-1], f"({state})"])
+                failed += not _check(env, argv, want, shown)
+                if state == "cold":
+                    failed += not _check_spectra_9(cache, shown)
     return 1 if failed else 0
 
 

@@ -16,7 +16,6 @@ collision out of every verdict and report.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from array import array
@@ -96,13 +95,13 @@ def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
 class SpectrumIndex:
     """All connected classes of one order, sorted by spectrum fingerprint.
 
-    fingerprints holds one spectrum_fingerprint per class, ascending, in one
-    machine-word array; members holds the classes' graph6 strings, each
-    graph6_width(order) characters, in the same order and with no separator.
-    A run, the classes of one fingerprint, is a block of adjacent entries in
-    canonical-code order. A run holds every class cospectral with any of its
-    members, and a run of two or more is split by exact key wherever it is read.
-    spectra-<n>.tsv holds the same entries, one row per class, in this order.
+    fingerprints holds one graph_fingerprint per class (equal to its
+    spectrum_fingerprint), ascending, in one machine-word array; members holds
+    the classes' graph6, graph6_width(order) characters each, in the same order
+    with no separator. A run, the classes of one fingerprint, is a block of
+    adjacent entries in canonical-code order; it holds every class cospectral
+    with any of its members, and a run of two or more is split by exact key
+    wherever it is read. spectra-<n>.tsv holds these entries, one row per class.
     """
 
     order: int
@@ -110,29 +109,24 @@ class SpectrumIndex:
     members: str
 
     @classmethod
-    def from_rows(cls, n: int, rows) -> SpectrumIndex:
-        """The index of (graph6, fingerprint) rows given in canonical-code order.
+    def from_level(cls, n: int, level: array, fingerprints: array) -> SpectrumIndex:
+        """The index of a level's ascending canonical bits and their fingerprints,
+        position for position.
 
         A stable sort on the fingerprint keeps each run in canonical-code order.
         Positions are first bucketed by the fingerprint's top byte, so the
-        sort holds Python objects for one bucket at a time, never one per class.
+        sort holds Python objects for one bucket at a time, never one per class,
+        and each class's graph6 is written once, in index order.
         """
-        unsorted, text = array("Q"), io.StringIO()
-        for g6, fp in rows:
-            unsorted.append(fp)
-            text.write(g6)
-        text, width = text.getvalue(), graph6_width(n)
-        if len(text) != width * len(unsorted):
-            raise GraphError(f"index rows of order {n} need graph6 strings of {width} characters")
         buckets = [array("I") for _ in range(256)]
-        for i, fp in enumerate(unsorted):
+        for i, fp in enumerate(fingerprints):
             buckets[fp >> 56].append(i)
-        fingerprints, members = array("Q"), []
+        ordered, members = array("Q"), []
         for bucket in buckets:
-            order = sorted(bucket, key=unsorted.__getitem__)
-            fingerprints.extend(map(unsorted.__getitem__, order))
-            members.append("".join([text[i * width:(i + 1) * width] for i in order]))
-        return cls(n, fingerprints, "".join(members))
+            order = sorted(bucket, key=fingerprints.__getitem__)
+            ordered.extend(map(fingerprints.__getitem__, order))
+            members.append("".join([bits_to_graph6(n, level[i]) for i in order]))
+        return cls(n, ordered, "".join(members))
 
     @property
     def class_count(self) -> int:
@@ -240,9 +234,8 @@ def index_spectra(
     if path and os.path.exists(path):
         return _load_index(path, n)
     level = connected_level(n, cache_dir=cache_dir, threads=threads)
-    fingerprints = ordered_map(partial(_class_fingerprint, n), level, threads)
-    index = SpectrumIndex.from_rows(  # fingerprints first: its pool ends with it
-        n, ((bits_to_graph6(n, bits), fp) for fp, bits in zip(fingerprints, level)))
+    fingerprints = array("Q", ordered_map(partial(_class_fingerprint, n), level, threads))
+    index = SpectrumIndex.from_level(n, level, fingerprints)
     if path:
         write_atomic(path, (f"{index._member(i)}\t{fp:016x}\n"
                             for i, fp in enumerate(index.fingerprints)))

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,12 @@ from oracles import exact_groups, group_runs
 
 # a resistance-cospectral pair of non-isomorphic classes on nine vertices
 COSPECTRAL_PAIR_9 = ("HQG?GKZ", "HCS_OKF")
+
+
+def _index(n, rows):
+    """SpectrumIndex.from_level of (graph6, fingerprint) rows, in the order given."""
+    return SpectrumIndex.from_level(n, array("Q", [parse_graph6(g6).bits for g6, _ in rows]),
+                                    array("Q", [fp for _, fp in rows]))
 
 
 class TestClassify:
@@ -182,8 +189,8 @@ class TestIndex:
 
     def test_build_holds_few_bytes_per_class(self, tmp_path):
         # a Graph, a row tuple and a dict slot per class came to over 500 B;
-        # two fingerprint arrays, two graph6 texts and the sort's 4-byte
-        # positions come to about 110 B at n=7, fixed costs included
+        # two fingerprint arrays, one graph6 text and the sort's 4-byte
+        # positions come to about 105 B at n=7, fixed costs included
         list(enumerate_connected(7))  # the level itself is not counted
         tracemalloc.start()
         try:
@@ -193,6 +200,21 @@ class TestIndex:
             tracemalloc.stop()
         assert index.class_count == 853
         assert peak / index.class_count < 200
+
+    def test_level_build_holds_few_bytes_per_class(self, cache_dir):
+        # hashed fingerprints fill every top-byte bucket, 59 classes at most;
+        # the sort's positions, the sorted fingerprints and one graph6 text
+        # come to about 28 B per class at n=8
+        level = enumeration.connected_level(8, cache_dir=cache_dir)
+        fingerprints = array("Q", [(b * 0x9E3779B97F4A7C15) & (2**64 - 1) for b in level])
+        tracemalloc.start()
+        try:
+            index = SpectrumIndex.from_level(8, level, fingerprints)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert index.class_count == 11117
+        assert peak / index.class_count < 40
 
     def test_cache_written_atomically(self, tmp_path, monkeypatch):
         idx = index_spectra(4, cache_dir=str(tmp_path))
@@ -350,7 +372,7 @@ class TestVerdicts:
         with pytest.raises(GraphError, match="order"):
             verify_drs(path_graph(3), index=idx)
         with pytest.raises(GraphError, match="target missing from its run"):
-            verify_drs(cycle_graph(4), index=SpectrumIndex.from_rows(4, []))
+            verify_drs(cycle_graph(4), index=_index(4, []))
 
     def test_disconnected_rejected(self):
         with pytest.raises(GraphError, match="connected"):
@@ -365,7 +387,7 @@ class TestVerdicts:
         me = to_graph6(canonical_graph(target))
         other = to_graph6(canonical_graph(path_graph(4)))
         fp = spectrum_fingerprint(resistance_matrix(target))
-        index = SpectrumIndex.from_rows(4, [(me, fp), (other, fp)])
+        index = _index(4, [(me, fp), (other, fp)])
         # a non-cospectral member of the target's run is split off by its exact key
         assert verify_drs(target, index=index).determined
         # so only a wrong exact key can make it an impostor, and re-verification catches it
@@ -378,7 +400,7 @@ class TestVerdicts:
         a, b = COSPECTRAL_PAIR_9
         key = spectrum_json(parse_graph6(a))
         fp = spectrum_fingerprint(resistance_matrix(parse_graph6(a)))
-        index = SpectrumIndex.from_rows(9, [(a, fp), (b, fp)])
+        index = _index(9, [(a, fp), (b, fp)])
         verdict = verify_drs(parse_graph6(a), index=index)
         assert not verdict.determined and verdict.impostors == (b,)
         assert verdict.spectrum_json == key == spectrum_json(parse_graph6(b))
@@ -401,7 +423,7 @@ class TestVerdicts:
         key = spectrum_json(parse_graph6(a))
         assert key == resistance_spectrum(parse_graph6(b)).to_json()
         fp = spectrum_fingerprint(resistance_matrix(parse_graph6(a)))
-        index = SpectrumIndex.from_rows(9, [(a, fp), (b, fp)])
+        index = _index(9, [(a, fp), (b, fp)])
         with pytest.raises(GraphError, match="re-verification"):
             verify_drs(parse_graph6(a), index=index)
 
@@ -451,7 +473,7 @@ class TestCollisions:
         # n <= 8 has no pairs, so the known n=9 pair comes through a one-run index
         a, b = COSPECTRAL_PAIR_9
         fp = spectrum_fingerprint(resistance_matrix(parse_graph6(a)))
-        one_run = SpectrumIndex.from_rows(9, [(a, fp), (b, fp)])
+        one_run = _index(9, [(a, fp), (b, fp)])
         monkeypatch.setattr(drs, "index_spectra", lambda n, **kw: one_run)
         report = find_collisions(9)
         assert report.pairs == ((a, b, spectrum_json(parse_graph6(a))),)
@@ -464,7 +486,7 @@ class TestCollisions:
         # the pair's rows in the wrong order would print as "b a"
         a, b = COSPECTRAL_PAIR_9
         fp = spectrum_fingerprint(resistance_matrix(parse_graph6(a)))
-        swapped = SpectrumIndex.from_rows(9, [(b, fp), (a, fp)])
+        swapped = _index(9, [(b, fp), (a, fp)])
         message = f"^spectrum index is inconsistent: run {fp:016x} is not in canonical-code order$"
         with pytest.raises(GraphError, match=message):
             swapped.run(fp)
